@@ -1,14 +1,16 @@
 """Command-line interface: expression evaluation and batch verifiers.
 
-Every command prints one JSON report to stdout.  Exit codes: 0 when the
-requested computation or verification succeeded, 1 when a verifier
-falsified its claim (the report carries a witness), 2 for input errors.
+Every command prints one strict JSON report to stdout (no NaN or
+Infinity).  Exit codes: 0 when the requested computation or verification
+succeeded, 1 when a verifier falsified its claim (the report carries a
+witness), 2 for input errors, including non-finite numeric flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bohr import BohrPoint, kronecker_approx
@@ -63,6 +65,19 @@ def _parse_freq_range(text: str, module: FrequencyModule):
     if lo != -hi or hi < 0:
         raise InputError("frequency range must be symmetric: '-k..k'")
     return box_support(module, hi)
+
+
+def _check_numeric_flags(args) -> None:
+    """Reject NaN and infinite float flags, a negative --tol and a
+    non-positive --trials before any handler runs."""
+    for name in ("T", "tol", "eps", "t_max"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if getattr(args, "tol", 0.0) < 0:
+        raise InputError("--tol must be nonnegative")
+    if getattr(args, "trials", 1) <= 0:
+        raise InputError("--trials must be positive")
 
 
 def _freq_list_json(freqs) -> list:
@@ -287,6 +302,11 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _emit(report: dict, code: int) -> int:
+    print(json.dumps(report, indent=2, allow_nan=False))
+    return code
+
+
 def main(argv=None) -> int:
     ap = build_arg_parser()
     if argv is None:
@@ -298,17 +318,16 @@ def main(argv=None) -> int:
         # argparse already printed its message to stderr
         if exc.code in (0, None):
             return EXIT_OK
-        print(json.dumps({"error": "invalid command-line arguments"}, indent=2))
-        return EXIT_INPUT_ERROR
+        return _emit({"error": "invalid command-line arguments"}, EXIT_INPUT_ERROR)
     try:
+        _check_numeric_flags(args)
         code, report = args.handler(args)
+        text = json.dumps(report, indent=2, allow_nan=False)
     except (InputError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc)}, indent=2))
-        return EXIT_INPUT_ERROR
+        return _emit({"error": str(exc)}, EXIT_INPUT_ERROR)
     except Exception as exc:  # fuzzed inputs must not crash the process
-        print(json.dumps({"error": f"internal: {type(exc).__name__}: {exc}"}, indent=2))
-        return EXIT_INPUT_ERROR
-    print(json.dumps(report, indent=2))
+        return _emit({"error": f"internal: {type(exc).__name__}: {exc}"}, EXIT_INPUT_ERROR)
+    print(text)
     return code
 
 

@@ -109,13 +109,19 @@ def _rational_gcd(values: list[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class FrequencyModule:
-    """Ordered generators g_1..g_d spanning the group Z g_1 + ... + Z g_d."""
+    """Ordered generators g_1..g_d spanning the group Z g_1 + ... + Z g_d.
+
+    The hash is computed once, at construction: every ``Frequency`` hash
+    goes through it, and rehashing the generators' ``Fraction`` scales on
+    each call dominated dictionary lookups keyed on frequencies.
+    """
 
     generators: tuple[Generator, ...]
 
     def __post_init__(self):
         gens = tuple(self.generators)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_hash", hash(gens))
         if not gens:
             raise InputError("a frequency module needs at least one generator")
         for g in gens:
@@ -136,6 +142,14 @@ class FrequencyModule:
             raise InputError(
                 f"generators are rationally dependent: {combo} = 0 within {RELATION_TOL}"
             )
+
+    def __hash__(self) -> int:
+        # equal modules have equal generator tuples, so this agrees with __eq__
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than restore: string hashes differ between processes
+        return (FrequencyModule, (self.generators,))
 
     @staticmethod
     def make(*specs) -> "FrequencyModule":

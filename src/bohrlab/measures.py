@@ -6,6 +6,16 @@ character moments mu_hat(lambda).  The data must be normalized
 (mu_hat(0) = 1), Hermitian, and positive definite: every Gram-type matrix
 [mu_hat(lambda_i - lambda_j)] with the differences inside F is PSD.
 
+Every ``FSMeasure`` is checked for that on construction.  The maximal
+difference cliques of F, and the support position of each pairwise
+difference within them, depend only on F, so ``support_index`` builds
+them once per support and keeps them in a small LRU cache
+(``SUPPORT_INDEX_SIZE`` supports).  A Gram block is then the moment vector
+indexed by a precomputed table, and the PSD check is one batched
+``eigvalsh`` per clique size.  The cache is bounded because workloads that
+draw a fresh support for nearly every measure reuse nothing from it, and
+every entry held costs memory.
+
 Translation by t multiplies mu_hat(lambda) by e^{i*lambda*t}, so a measure
 is invariant under a set of shifts exactly when the shifts kill every
 nonzero moment.  ``uniqueness_verdict`` decides, per frequency, whether
@@ -23,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +63,8 @@ from .scalars import (
 
 PSD_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
+SUPPORT_INDEX_SIZE = 16  # supports whose clique index is kept; see support_index
+_COORD_LIMIT = 2**62  # |coord| below this keeps pairwise differences in int64
 
 
 # ------------------------------------------------------------------
@@ -120,17 +133,69 @@ def _maximal_cliques(n: int, adj: list[set[int]]) -> list[list[int]]:
     return out
 
 
-def _difference_cliques(freqs: tuple[Frequency, ...]) -> list[list[int]]:
-    """Maximal index sets whose pairwise frequency differences stay in F."""
-    fset = set(freqs)
-    n = len(freqs)
+def _difference_positions(freqs: tuple[Frequency, ...]) -> np.ndarray:
+    """(n, n) intp table: the support position of freqs[i] - freqs[j], or -1
+    when that difference lies outside the support.  Built on an int64
+    coordinate array, so no ``Frequency`` is created or hashed."""
+    if any(abs(c) >= _COORD_LIMIT for f in freqs for c in f.coords):
+        raise InputError("frequency coordinates must be below 2**62 in absolute value")
+    coords = np.array([f.coords for f in freqs], dtype=np.int64)
+    n, d = coords.shape
+    diffs = (coords[:, None, :] - coords[None, :, :]).reshape(n * n, d)
+    _, ids = np.unique(np.concatenate([coords, diffs]), axis=0, return_inverse=True)
+    ids = ids.reshape(-1)
+    where = np.full(n + n * n, -1, dtype=np.intp)
+    where[ids[:n]] = np.arange(n)
+    return where[ids[n:]].reshape(n, n)
+
+
+def _difference_cliques(pos: np.ndarray) -> list[list[int]]:
+    """Maximal index sets whose pairwise frequency differences stay in F,
+    from the difference table of :func:`_difference_positions`."""
+    n = pos.shape[0]
+    inside = pos >= 0
     adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if freqs[i] - freqs[j] in fset:
-                adj[i].add(j)
-                adj[j].add(i)
+    for i, j in zip(*np.nonzero(np.triu(inside, 1))):
+        adj[i].add(int(j))
+        adj[j].add(int(i))
     return _maximal_cliques(n, adj)
+
+
+@dataclass(frozen=True)
+class SupportIndex:
+    """The clique structure of one support, shared by every measure on it.
+
+    ``cliques`` are the maximal difference cliques (index lists into the
+    support); ``tables[k]`` is the (m, m) intp table of support positions of
+    the pairwise differences within clique k, so a Gram block is a moment
+    vector indexed by it; ``stacks`` holds the tables grouped by clique size
+    as (count, m, m) arrays, one batched eigenvalue call per size.
+    """
+
+    cliques: tuple[tuple[int, ...], ...]
+    tables: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=SUPPORT_INDEX_SIZE)
+def support_index(support: tuple[Frequency, ...]) -> SupportIndex:
+    """The :class:`SupportIndex` of a sorted symmetric support.
+
+    The index depends only on the support, so it is cached.  The cache is
+    bounded to ``SUPPORT_INDEX_SIZE`` supports: a caller that sees a new
+    support for nearly every measure gets no reuse from it, and a larger
+    bound only holds more tables in memory.
+    """
+    pos = _difference_positions(support)
+    cliques = tuple(tuple(c) for c in _difference_cliques(pos))
+    tables = tuple(pos[np.ix_(c, c)] for c in cliques)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for t in tables:
+        by_size.setdefault(t.shape[0], []).append(t)
+    stacks = tuple(np.stack(ts) for _, ts in sorted(by_size.items()))
+    for a in (*tables, *stacks):
+        a.setflags(write=False)  # shared by every caller through the cache
+    return SupportIndex(cliques, tables, stacks)
 
 
 def _exact_psd(matrix: list[list[ExactComplex]]) -> bool:
@@ -224,13 +289,14 @@ class FSMeasure:
         total = sum(Fraction(w) if isinstance(w, (int, Fraction)) else w for w, _ in parts)
         if abs(float(total) - 1.0) > 1e-12:
             raise InputError("mixture weights must sum to 1")
+        if any(m.support != support for _, m in parts):
+            raise InputError("mixture components must share a support set")
+        weighted = [(coeff_of(w), m.entries) for w, m in parts]
         entries: dict[Frequency, Coeff] = {}
         for f in support:
             acc: Coeff = EC_ZERO
-            for w, m in parts:
-                if m.support != support:
-                    raise InputError("mixture components must share a support set")
-                acc = c_add(acc, c_mul(coeff_of(w), m.entries[f]))
+            for w, moments in weighted:
+                acc = c_add(acc, c_mul(w, moments[f]))
             entries[f] = acc
         entries[module.zero()] = EC_ONE
         return FSMeasure(module, entries)
@@ -256,38 +322,34 @@ class FSMeasure:
 
     # -- positive definiteness -------------------------------------------
 
+    def _moment_vector(self) -> np.ndarray:
+        """The moments as complex128, in support order."""
+        return np.array([complex(self.entries[f]) for f in self.support], dtype=np.complex128)
+
     def gram_blocks(self) -> list[tuple[list[Frequency], np.ndarray]]:
-        cliques = _difference_cliques(self.support)
-        out = []
-        for idx in cliques:
-            basis = [self.support[i] for i in idx]
-            m = len(basis)
-            g = np.empty((m, m), dtype=np.complex128)
-            for i in range(m):
-                for j in range(m):
-                    g[i, j] = complex(self.entries[basis[i] - basis[j]])
-            out.append((basis, g))
-        return out
+        """One Gram matrix [mu_hat(a - b)] per maximal difference clique."""
+        index = support_index(self.support)
+        vals = self._moment_vector()
+        return [
+            ([self.support[i] for i in clique], vals[table])
+            for clique, table in zip(index.cliques, index.tables)
+        ]
 
     def psd_defect(self) -> float:
         """Smallest eigenvalue over all maximal Gram blocks (1.0 if none)."""
+        vals = self._moment_vector()
         worst = 1.0
-        for _, g in self.gram_blocks():
-            if g.shape[0] == 1:
-                worst = min(worst, float(g[0, 0].real))
-            else:
-                worst = min(worst, float(np.linalg.eigvalsh(g).min()))
+        for stack in support_index(self.support).stacks:
+            worst = min(worst, float(np.linalg.eigvalsh(vals[stack]).min()))
         return worst
 
     def exact_psd(self) -> bool | None:
         """Rational-arithmetic PSD certificate; None when entries are floats."""
         if not self.is_exact():
             return None
-        cliques = _difference_cliques(self.support)
-        for idx in cliques:
-            basis = [self.support[i] for i in idx]
-            mat = [[self.entries[a - b] for b in basis] for a in basis]
-            if not _exact_psd(mat):
+        vals = [self.entries[f] for f in self.support]
+        for table in support_index(self.support).tables:
+            if not _exact_psd([[vals[k] for k in row] for row in table.tolist()]):
                 return False
         return True
 

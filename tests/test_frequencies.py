@@ -141,6 +141,42 @@ def test_big_module_budget_guard():
         FrequencyModule.make(*[("pi", Fraction(1, k)) for k in range(1, 8)])
 
 
+def test_module_hash_agrees_with_equality():
+    from bohrlab.jsonio import module_from_json, module_to_json
+
+    a = FrequencyModule.make(1, "sqrt2")
+    b = FrequencyModule.make(1, "sqrt2")
+    c = module_from_json(module_to_json(a))
+    for other in (b, c):
+        assert other is not a
+        assert other == a and hash(other) == hash(a)
+        assert other.frequency(2, -1) == a.frequency(2, -1)
+        assert hash(other.frequency(2, -1)) == hash(a.frequency(2, -1))
+    assert {a.frequency(1, 1): 1}[c.frequency(1, 1)] == 1
+
+
+def test_module_pickled_in_another_process_hashes_like_a_fresh_one():
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    code = (
+        "import pickle, sys; from bohrlab import FrequencyModule; "
+        "sys.stdout.buffer.write(pickle.dumps(FrequencyModule.make(1, 'sqrt2')))"
+    )
+    fresh = FrequencyModule.make(1, "sqrt2")
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+        )
+        assert out.returncode == 0, out.stderr.decode()
+        loaded = pickle.loads(out.stdout)
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+
+
 def test_precision_env_override():
     import os
     import subprocess

@@ -16,6 +16,7 @@ from bohrlab import (
     iota,
     uniqueness_verdict,
 )
+from bohrlab.measures import SUPPORT_INDEX_SIZE, _maximal_cliques, support_index
 from bohrlab.scalars import EC_ONE, EC_ZERO
 from util import random_psd_measure
 
@@ -265,3 +266,132 @@ def test_density_d3_rejected():
     m3 = FrequencyModule.make(1, "sqrt2", "sqrt3")
     with pytest.raises(InputError, match="d <= 2"):
         TorusDensity.uniform(m3)
+
+
+# ------------------------------------------------------------------
+# the per-support clique index against a per-entry Gram build
+# ------------------------------------------------------------------
+
+
+def reference_gram_blocks(support, entries):
+    """Gram blocks built entry by entry through Frequency arithmetic: the
+    cliques from pairwise differences tested against the support set, and
+    each entry looked up as entries[a - b]."""
+    fset = set(support)
+    n = len(support)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if support[i] - support[j] in fset:
+                adj[i].add(j)
+                adj[j].add(i)
+    out = []
+    for idx in _maximal_cliques(n, adj):
+        basis = [support[i] for i in idx]
+        g = np.array(
+            [[complex(entries[a - b]) for b in basis] for a in basis], dtype=np.complex128
+        )
+        out.append((basis, g))
+    return out
+
+
+def reference_psd_defect(blocks):
+    worst = 1.0
+    for _, g in blocks:
+        worst = min(worst, float(np.linalg.eigvalsh(g).min()))
+    return worst
+
+
+def _random_difference_support(module, rng):
+    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    k = int(rng.integers(2, 7))
+    basis = [box[int(i)] for i in rng.choice(len(box), size=k, replace=False)]
+    diffs = {(a[0] - b[0], a[1] - b[1]) for a in basis for b in basis}
+    return tuple(module.frequency(*c) for c in sorted(diffs))
+
+
+def _oracle_supports(rng):
+    m2 = FrequencyModule.make(1, "sqrt2")
+    m3 = FrequencyModule.make(1, "sqrt2", "sqrt3")
+    cases = [
+        (M, box_support(M, 6)),
+        (m2, box_support(m2, 2)),
+        (m3, cross_support(m3, 2)),
+    ]
+    cases += [(m2, _random_difference_support(m2, rng)) for _ in range(8)]
+    return cases
+
+
+def test_gram_blocks_match_per_entry_build(rng):
+    for module, support in _oracle_supports(rng):
+        for _ in range(3):
+            mu = random_psd_measure(module, support, rng, n_atoms=int(rng.integers(1, 4)))
+            ref = reference_gram_blocks(mu.support, mu.entries)
+            got = mu.gram_blocks()
+            assert [b for b, _ in got] == [b for b, _ in ref]
+            for (_, g), (_, h) in zip(got, ref):
+                assert g.dtype == h.dtype and np.array_equal(g, h)
+            assert mu.psd_defect() == pytest.approx(reference_psd_defect(ref), abs=1e-12)
+        # the size-grouped stacks hold every clique table exactly once
+        index = support_index(tuple(support))
+        stacked = sorted(t.tolist() for stack in index.stacks for t in stack)
+        assert stacked == sorted(t.tolist() for t in index.tables)
+
+
+def test_exact_psd_matches_per_entry_build(rng):
+    from bohrlab.measures import _exact_psd
+
+    for module, support in _oracle_supports(rng):
+        mu = FSMeasure.haar(module, support)
+        ref = all(
+            _exact_psd([[mu.entries[a - b] for b in basis] for a in basis])
+            for basis, _ in reference_gram_blocks(mu.support, mu.entries)
+        )
+        assert mu.exact_psd() is ref is True
+
+
+def test_non_psd_moment_data_rejected_on_every_support(rng):
+    rejected = accepted = 0
+    for module, support in _oracle_supports(rng):
+        for _ in range(10):
+            entries = {module.zero(): EC_ONE}
+            for f in support:
+                if f.coords > tuple(-c for c in f.coords):
+                    v = ExactComplex(
+                        Fraction(int(rng.integers(-9, 10)), 10),
+                        Fraction(int(rng.integers(-9, 10)), 10),
+                    )
+                    entries[f] = v
+                    entries[-f] = v.conj()
+            defect = reference_psd_defect(reference_gram_blocks(support, entries))
+            if defect < -1e-10:
+                with pytest.raises(InputError, match="positive definite"):
+                    FSMeasure(module, entries)
+                rejected += 1
+            else:
+                assert FSMeasure(module, entries).psd_defect() == pytest.approx(defect, abs=1e-12)
+                accepted += 1
+    assert rejected > 0
+
+
+def test_support_index_cache_stays_bounded():
+    support_index.cache_clear()
+    seen = set()
+    for mask in range(1, 101):
+        ks = [k for k in range(1, 8) if mask >> (k - 1) & 1]
+        support = tuple(M.frequency(k) for k in sorted({0, *ks, *(-k for k in ks)}))
+        seen.add(support)
+        FSMeasure.haar(M, support)
+    assert len(seen) == 100
+    info = support_index.cache_info()
+    assert info.maxsize == SUPPORT_INDEX_SIZE
+    assert info.currsize <= info.maxsize
+
+
+def test_support_index_rejects_coordinates_outside_int64_differences():
+    big = 2**62
+    support = (M.frequency(-big), M.zero(), M.frequency(big))
+    with pytest.raises(InputError, match="2\\*\\*62"):
+        FSMeasure.haar(M, support)
+    ok = (M.frequency(1 - big), M.zero(), M.frequency(big - 1))
+    assert FSMeasure.haar(M, ok).psd_defect() == 1.0

@@ -354,6 +354,29 @@ def test_cli_malformed_json_exit_2(tmp_path):
     assert "error" in json.loads(proc.stdout)
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in report")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mean", "chi(1)", "--T", "nan"],
+        ["mean", "chi(1)", "--T", "inf"],
+        ["verify-extension", "--trials", "-5"],
+        ["kronecker", "--generators", "1,sqrt2", "--target", "0,pi", "--eps", "nan"],
+    ],
+    ids=["mean_T_nan", "mean_T_inf", "extension_trials_negative", "kronecker_eps_nan"],
+)
+def test_cli_non_finite_or_non_positive_flags_exit_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stdout
+    assert "error" in _strict_json(proc.stdout)
+
+
 def test_cli_fuzzed_inputs_never_crash(rng, tmp_path):
     garbage = [
         "",
