@@ -6,7 +6,7 @@ space."""
 
 from .ap import APFunction
 from .bohr import BohrPoint, KroneckerResult, iota, kronecker_approx, kronecker_residual
-from .errors import BudgetExceeded, InputError
+from .errors import InputError
 from .fleischhack import (
     AgreementReport,
     BasisSet,

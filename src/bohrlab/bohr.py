@@ -4,7 +4,7 @@ At a fixed module with d generators the group of characters is a d-torus:
 a point is an angle vector, stored in *turns* (angle / 2*pi) so that
 rational turns stay exact Fractions through the group operations.  The
 dense embedding of the line sends x to the point with turns g_k*x/(2*pi),
-and the constructive substitute for denseness is a budgeted grid search
+and the constructive substitute for denseness is a bounded window sweep
 solving the simultaneous approximation problem.
 """
 
@@ -16,15 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .ap import APFunction
 from .errors import InputError
 from .frequencies import Frequency, FrequencyModule, require_same_module, turn_of
 from .scalars import Coeff, EC_ZERO, RealLike, c_add, c_mul, phase_from_turn
 
 Turn = Fraction | float
-
-_GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _norm_turn(x: Turn) -> Turn:
@@ -151,10 +148,33 @@ def iota(module: FrequencyModule, x: RealLike) -> BohrPoint:
 # ------------------------------------------------------------------
 
 
+MAX_WINDOWS = 1 << 22
+"""Most pivot windows one search examines.  A range [-t_max, t_max] that
+holds more ends the search early, with ``reason="budget"``."""
+
+_CHUNK_FIRST = 64
+_CHUNK_MAX = 1 << 16
+
+
 @dataclass(frozen=True)
 class KroneckerResult:
-    """Outcome of the approximation search.  ``found=False`` means the scan
-    budget was exhausted, not that no approximant exists."""
+    """Outcome of the approximation search.
+
+    A hit (``found=True``) carries a ``t`` with ``|t| <= t_max`` whose
+    residual, re-checked by :func:`kronecker_residual`, is below ``eps``;
+    its ``reason`` is None.  A miss has ``t=None``, its ``gap`` is the
+    smallest residual among the candidates evaluated, and ``reason`` says
+    how the search ended:
+
+    - ``"budget"``: ``MAX_WINDOWS`` windows were examined before the sweep
+      covered [-t_max, t_max]; existence in the rest is not refuted.
+    - ``"range"``: every window in [-t_max, t_max] was examined in float64
+      arithmetic and none held a solution.  This is not a certified
+      refutation: a solution set narrower than the rounding error of the
+      window arithmetic can be missed.
+
+    ``points_scanned`` counts the windows examined; it is at least 1.
+    """
 
     found: bool
     t: float | None
@@ -162,6 +182,7 @@ class KroneckerResult:
     points_scanned: int
     eps: float
     t_max: float
+    reason: str | None
 
     def __bool__(self) -> bool:
         return self.found
@@ -177,62 +198,70 @@ def kronecker_residual(psi: BohrPoint, t: float) -> float:
     return worst
 
 
-def kronecker_approx(
-    psi: BohrPoint,
-    eps: float,
-    t_max: float,
-    step: float | None = None,
-    refine: bool = True,
-) -> KroneckerResult:
+def kronecker_approx(psi: BohrPoint, eps: float, t_max: float) -> KroneckerResult:
     """Search [-t_max, t_max] for t with max_k |e^{i g_k t} - e^{i theta_k}| < eps.
 
-    Grid scan with a golden-ratio jitter on the origin (step defaults to
-    eps / (2 max|g_k|), small enough that a grid point falls inside any
-    successful window), then a local refinement pass around the first hit.
+    Window sweep: coordinate k meets its target exactly when the angle
+    g_k t - theta_k lies within w = 2 asin(eps/2) of a multiple of 2 pi.
+    The pivot p, the generator of largest |g_p|, does so on the windows
+    t = c_m + s, c_m = (theta_p + 2 pi m)/g_p, |s| < w/|g_p|.  Within a
+    window every other angle moves by less than w, so while w <= pi/2 its
+    condition is one interval in s, and the window holds a solution exactly
+    when these intervals, the pivot's and [-t_max - c_m, t_max - c_m] meet.
+    Windows are taken outward from t = 0, in numpy chunks over m; the
+    midpoint of the first nonempty intersection whose residual re-checks
+    below eps is the answer.  For eps >= sqrt(2), w is capped at pi/2, a
+    stricter test, so a hit still satisfies eps.  At most ``MAX_WINDOWS``
+    windows are examined.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be positive")
-    if t_max <= 0:
+    if not t_max > 0:
         raise InputError("t_max must be positive")
     gens = psi.module.float_values
     targets = np.array([2.0 * math.pi * float(t) for t in psi.turns])
+    p = int(np.argmax(np.abs(gens)))
+    g_p, theta_p = float(gens[p]), float(targets[p])
+    rest = np.arange(gens.size) != p
+    g_k, theta_k = gens[rest][:, None], targets[rest][:, None]
+    w = math.pi / 2 if eps >= math.sqrt(2.0) else 2.0 * math.asin(eps / 2.0)
+    half = w / abs(g_p)
 
-    # d=1 has a closed-form preimage
-    if psi.module.dim == 1:
-        g = float(gens[0])
-        t = float(targets[0]) / g
-        for cand in (t, t - 2.0 * math.pi / g, t + 2.0 * math.pi / g):
-            if abs(cand) <= t_max:
-                gap = kronecker_residual(psi, cand)
-                if gap < eps:
-                    return KroneckerResult(True, cand, gap, 1, eps, t_max)
+    # windows m with c_m in [-t_max, t_max] number about t_max |g_p| / pi;
+    # compare in float before any int conversion (t_max may be near 1e308)
+    span = t_max * abs(g_p) / math.pi
+    if span <= MAX_WINDOWS - 2:
+        n_windows, reason = math.ceil(span) + 2, "range"
+    else:
+        n_windows, reason = MAX_WINDOWS, "budget"
+    # the window nearest t = 0, then its neighbours alternately on the
+    # nearer side first: offsets 0, +1, -1, +2, -2, ... times `side`
+    m_star = -theta_p / (2.0 * math.pi)
+    m0 = round(m_star)
+    side = 1.0 if m_star >= m0 else -1.0
 
-    gmax = float(np.max(np.abs(gens)))
-    if step is None:
-        step = eps / (2.0 * gmax)
-    # scan the positive half first (outward from 0), then the negative half
-    half = int(math.floor(t_max / step))
-    jitter = _GOLDEN_FRAC * step
-    idx, gap = kernels.chord_gap_scan(gens, targets, eps, jitter, step, half)
-    scanned = half if idx < 0 else idx + 1
-    t0 = jitter
-    if idx < 0:
-        idx, gap_neg = kernels.chord_gap_scan(
-            gens, targets, eps, jitter - t_max, step, half
-        )
-        t0 = jitter - t_max
-        if idx < 0:
-            return KroneckerResult(False, None, min(gap, gap_neg), 2 * half, eps, t_max)
-        scanned += idx + 1
-        gap = gap_neg
-    t_hit = t0 + idx * step
-    if refine:
-        ts = t_hit + np.linspace(-step, step, 401)
-        ts = ts[np.abs(ts) <= t_max]
-        args = 0.5 * (np.outer(gens, ts) - targets[:, None])
-        gaps = (2.0 * np.abs(np.sin(args))).max(axis=0)
-        j = int(np.argmin(gaps))
-        scanned += ts.size
-        if gaps[j] < gap:
-            t_hit = float(ts[j])
-    return KroneckerResult(True, t_hit, kronecker_residual(psi, t_hit), scanned, eps, t_max)
+    best = math.inf
+    done, n = 0, _CHUNK_FIRST
+    while done < n_windows:
+        n = min(n, n_windows - done)
+        i = np.arange(done, done + n, dtype=np.float64)
+        k = np.ceil(i / 2.0)
+        c = (theta_p + 2.0 * math.pi * (m0 + side * np.where(i % 2 == 1, k, -k))) / g_p
+        tc = np.clip(c, -t_max, t_max)
+        centre_gaps = 2.0 * np.abs(np.sin(0.5 * (np.outer(gens, tc) - targets[:, None])))
+        best = min(best, float(centre_gaps.max(axis=0).min()))
+        # each other angle at the centre, in [-pi, pi); its interval in s,
+        # the pivot's and the range's meet in [lo, hi)
+        phi = np.remainder(g_k * c - theta_k + math.pi, 2.0 * math.pi) - math.pi
+        a, b = (-w - phi) / g_k, (w - phi) / g_k
+        lo = np.maximum(np.minimum(a, b).max(axis=0, initial=-half), -t_max - c)
+        hi = np.minimum(np.maximum(a, b).min(axis=0, initial=half), t_max - c)
+        for j in np.flatnonzero(lo < hi):
+            t = float(c[j] + 0.5 * (lo[j] + hi[j]))
+            gap = kronecker_residual(psi, t)
+            if gap < eps and abs(t) <= t_max:
+                return KroneckerResult(True, t, gap, done + int(j) + 1, eps, t_max, None)
+            best = min(best, gap)
+        done += n
+        n = min(4 * n, _CHUNK_MAX)
+    return KroneckerResult(False, None, best, n_windows, eps, t_max, reason)

@@ -3,7 +3,8 @@
 Every command prints one strict JSON report to stdout (no NaN or
 Infinity).  Exit codes: 0 when the requested computation or verification
 succeeded, 1 when a verifier falsified its claim (the report carries a
-witness), 2 for input errors, including non-finite numeric flags.
+witness) or a search missed, 2 for input errors, including non-finite
+numeric flags, and 3 for internal errors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .scalars import coeff_to_json_pair
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _parse_module(text: str) -> FrequencyModule:
@@ -205,7 +207,7 @@ def _cmd_kronecker(args) -> tuple[int, dict]:
         }
     return EXIT_FALSIFIED, {
         "found": False,
-        "reason": "search budget exhausted (existence not refuted)",
+        "reason": result.reason,
         "best_gap": result.gap,
         "points_scanned": result.points_scanned,
     }
@@ -326,7 +328,7 @@ def main(argv=None) -> int:
     except (InputError, OSError, json.JSONDecodeError) as exc:
         return _emit({"error": str(exc)}, EXIT_INPUT_ERROR)
     except Exception as exc:  # fuzzed inputs must not crash the process
-        return _emit({"error": f"internal: {type(exc).__name__}: {exc}"}, EXIT_INPUT_ERROR)
+        return _emit({"error": f"internal: {type(exc).__name__}: {exc}"}, EXIT_INTERNAL_ERROR)
     print(text)
     return code
 

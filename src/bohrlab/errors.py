@@ -6,6 +6,3 @@ class InputError(ValueError):
     dependent generator sets, bad parameters.  The CLI maps this to exit
     code 2."""
 
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a bounded search would exceed its enumeration budget."""

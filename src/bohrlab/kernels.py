@@ -24,26 +24,6 @@ def _numba_disabled() -> bool:
 # ------------------------------------------------------------------
 
 
-def _chord_gap_scan_py(gens, targets, eps, t0, step, n_steps):
-    # First t on the grid t0 + k*step whose worst chord distance
-    # max_k |e^{i g_k t} - e^{i theta_k}| drops below eps.
-    # Returns (k, gap_at_k); (-1, best_gap) if the budget runs out.
-    d = gens.size
-    best = np.inf
-    for k in range(n_steps):
-        t = t0 + k * step
-        m = 0.0
-        for j in range(d):
-            v = 2.0 * abs(np.sin(0.5 * (gens[j] * t - targets[j])))
-            if v > m:
-                m = v
-        if m < eps:
-            return k, m
-        if m < best:
-            best = m
-    return -1, best
-
-
 def _int_relation_scan_py(values, bound, tol):
     # First nonzero integer vector n with |n_i| <= bound and
     # |sum n_i v_i| < tol, in mixed-radix enumeration order.
@@ -97,7 +77,6 @@ def _torus_eval_grid_2d_py(m1, m2, coeffs, th1, th2):
 
 
 _PY_KERNELS = {
-    "chord_gap_scan": _chord_gap_scan_py,
     "int_relation_scan": _int_relation_scan_py,
     "trig_eval_grid": _trig_eval_grid_py,
     "torus_eval_grid_2d": _torus_eval_grid_2d_py,
@@ -107,30 +86,6 @@ _PY_KERNELS = {
 # ------------------------------------------------------------------
 # vectorized numpy twins
 # ------------------------------------------------------------------
-
-_CHUNK = 1 << 18
-
-
-def _chord_gap_scan_np(gens, targets, eps, t0, step, n_steps, chunk=_CHUNK):
-    best = np.inf
-    done = 0
-    n = 4096  # grow chunks so early hits stay cheap
-    while done < n_steps:
-        n = min(n, n_steps - done, chunk)
-        t = t0 + (done + np.arange(n)) * step
-        args = 0.5 * (np.outer(gens, t) - targets[:, None])
-        gaps = (2.0 * np.abs(np.sin(args))).max(axis=0)
-        hits = np.nonzero(gaps < eps)[0]
-        if hits.size:
-            k = int(hits[0])
-            return done + k, float(gaps[k])
-        m = float(gaps.min())
-        if m < best:
-            best = m
-        done += n
-        n *= 4
-    return -1, float(best)
-
 
 def _int_relation_scan_np(values, bound, tol, chunk=1 << 20):
     d = values.size
@@ -165,7 +120,6 @@ def _torus_eval_grid_2d_np(m1, m2, coeffs, th1, th2):
 
 
 _NP_KERNELS = {
-    "chord_gap_scan": _chord_gap_scan_np,
     "int_relation_scan": _int_relation_scan_np,
     "trig_eval_grid": _trig_eval_grid_np,
     "torus_eval_grid_2d": _torus_eval_grid_2d_np,
@@ -193,7 +147,6 @@ if USE_NUMBA:
 else:
     _ACTIVE = dict(_NP_KERNELS)
 
-chord_gap_scan = _ACTIVE["chord_gap_scan"]
 int_relation_scan = _ACTIVE["int_relation_scan"]
 trig_eval_grid = _ACTIVE["trig_eval_grid"]
 torus_eval_grid_2d = _ACTIVE["torus_eval_grid_2d"]

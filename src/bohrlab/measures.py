@@ -229,7 +229,18 @@ class FSMeasure:
     __slots__ = ("module", "entries", "support")
 
     def __init__(self, module: FrequencyModule, entries: dict[Frequency, Coeff]):
-        support = check_symmetric_support(entries.keys())
+        self._build(module, entries, check_symmetric_support(entries.keys()))
+
+    @classmethod
+    def _from_checked(cls, module, entries, support) -> "FSMeasure":
+        """Build on a ``support`` already returned by
+        :func:`check_symmetric_support`; the keys of ``entries`` must be
+        exactly its frequencies."""
+        mu = cls.__new__(cls)
+        mu._build(module, entries, support)
+        return mu
+
+    def _build(self, module, entries, support) -> None:
         for f in support:
             require_same_module(module, f.module)
         norm = coeff_of(entries[module.zero()])
@@ -257,14 +268,12 @@ class FSMeasure:
 
     @staticmethod
     def haar(module: FrequencyModule, support) -> "FSMeasure":
-        support = check_symmetric_support(support)
         return FSMeasure(
             module, {f: EC_ONE if f.is_zero() else EC_ZERO for f in support}
         )
 
     @staticmethod
     def point_mass_identity(module: FrequencyModule, support) -> "FSMeasure":
-        support = check_symmetric_support(support)
         return FSMeasure(module, {f: EC_ONE for f in support})
 
     @staticmethod
@@ -276,7 +285,7 @@ class FSMeasure:
             v = psi.char_value(f)
             entries[f] = v
             entries[-f] = c_conj(v)
-        return FSMeasure(module, entries)
+        return FSMeasure._from_checked(module, entries, support)
 
     @staticmethod
     def mixture(parts) -> "FSMeasure":
@@ -565,7 +574,7 @@ class TorusDensity:
             neg = tuple(-k for k in f.coords)
             entries[f] = self.coeffs.get(neg, EC_ZERO)
         entries[self.module.zero()] = EC_ONE
-        return FSMeasure(self.module, entries)
+        return FSMeasure._from_checked(self.module, entries, support)
 
     def box_measure(self, box) -> float:
         """Measure of a product of angle intervals (radians, width <= 2*pi)."""

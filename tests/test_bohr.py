@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from bohrlab import (
     kronecker_approx,
     kronecker_residual,
 )
+from bohrlab.bohr import MAX_WINDOWS
 from util import brute_kronecker, random_exact_ap, random_point
 
 M1 = FrequencyModule.integers()
@@ -129,6 +131,12 @@ def test_kronecker_d1_exact_preimage():
     assert res.found
     assert abs(res.t - theta) < 1e-9
     assert kronecker_residual(psi, res.t) < 1e-9
+    # d=1 is the first window of the sweep: t = theta/g exactly
+    m = FrequencyModule.make("sqrt2")
+    res = kronecker_approx(BohrPoint.from_angles(m, [theta]), 1e-6, 1e4)
+    assert res.found and res.reason is None
+    assert res.t == theta / math.sqrt(2.0)
+    assert res.points_scanned == 1
 
 
 def test_kronecker_d2_target_with_grid_oracle():
@@ -157,13 +165,55 @@ def test_kronecker_accepts_exact_preimage_point():
 
 
 def test_kronecker_budget_exhaustion_is_reported():
-    # an unreachable gap: eps far below the grid guarantee on a tiny budget
+    # an unreachable gap: eps far below what the few windows in [-0.5, 0.5] reach
     psi = BohrPoint.from_angles(M2, [1.0, 2.0])
-    res = kronecker_approx(psi, 1e-9, 0.5, step=0.3)
+    res = kronecker_approx(psi, 1e-9, 0.5)
     if not res.found:
         assert res.t is None
         assert res.points_scanned > 0
         assert res.gap >= 1e-9
+        assert res.reason == "range"
+
+
+# (d, eps, t_max): t_max keeps the grid oracle's scan of [-t_max, t_max]
+# to a few seconds per case, and lets it meet some of the 40 targets
+ORACLE_CASES = [(2, 0.002, 700.0), (3, 0.03, 5000.0), (4, 0.05, 1e4)]
+
+
+@pytest.mark.parametrize("d, eps, t_max", ORACLE_CASES, ids=["d2", "d3", "d4"])
+def test_kronecker_finds_every_grid_oracle_hit(rng, d, eps, t_max):
+    module = FrequencyModule.make(*(1, "sqrt2", "sqrt3", "pi")[:d])
+    gens = module.float_values
+    step = eps / (2.0 * float(np.max(np.abs(gens))))
+    oracle_hits = 0
+    for _ in range(40):
+        psi = BohrPoint(module, tuple(float(u) for u in rng.random(d)))
+        angles = [2.0 * math.pi * float(u) for u in psi.turns]
+        res = kronecker_approx(psi, eps, t_max)
+        if res.found:
+            assert abs(res.t) <= t_max
+            assert kronecker_residual(psi, res.t) < eps
+        if brute_kronecker(gens, angles, eps, -t_max, t_max, step) is not None:
+            oracle_hits += 1
+            assert res.found, psi
+    assert oracle_hits > 0
+
+
+def test_kronecker_huge_t_max_stays_within_the_window_budget():
+    psi = BohrPoint.from_angles(M2, [0, PiTimes(Fraction(1))])
+    start = time.perf_counter()
+    res = kronecker_approx(psi, 1e-12, 1e308)
+    assert time.perf_counter() - start < 2.0
+    assert res.found or (res.reason == "budget" and res.points_scanned == MAX_WINDOWS)
+
+
+def test_kronecker_subnormal_eps_misses():
+    psi = BohrPoint.from_angles(M2, [1.0, 2.0])
+    res = kronecker_approx(psi, 1e-320, 1e4)
+    assert not res.found and res.t is None
+    assert res.points_scanned >= 1
+    assert res.reason == "range"
+    assert math.isfinite(res.gap) and res.gap >= 1e-320
 
 
 def test_kronecker_statistical_d2(rng):

@@ -15,32 +15,6 @@ needs_numba = pytest.mark.skipif(NB is None, reason="numba unavailable")
 
 
 @needs_numba
-def test_chord_gap_scan_twins_agree(rng):
-    for _ in range(10):
-        d = int(rng.integers(1, 4))
-        gens = rng.uniform(0.3, 3.0, d)
-        targets = rng.uniform(0.0, 2 * math.pi, d)
-        eps = float(rng.uniform(0.05, 0.4))
-        args = (gens, targets, eps, -50.0, eps / (2 * gens.max()), 20_000)
-        idx_nb, gap_nb = NB["chord_gap_scan"](*args)
-        idx_np, gap_np = NP["chord_gap_scan"](*args)
-        assert idx_nb == idx_np
-        assert gap_nb == pytest.approx(gap_np, abs=1e-13)
-
-
-@needs_numba
-def test_chord_gap_scan_not_found_best_gap(rng):
-    gens = np.array([1.0, math.sqrt(2.0)])
-    targets = np.array([0.5, 1.5])
-    args = (gens, targets, 1e-9, 0.0, 0.01, 5_000)
-    idx_nb, gap_nb = NB["chord_gap_scan"](*args)
-    idx_np, gap_np = NP["chord_gap_scan"](*args)
-    assert idx_nb == idx_np == -1
-    assert gap_nb == pytest.approx(gap_np, abs=1e-13)
-    assert gap_nb > 1e-9
-
-
-@needs_numba
 def test_int_relation_scan_twins_agree(rng):
     cases = [
         np.array([1.0, 0.5]),
@@ -99,4 +73,4 @@ def test_env_flag_selects_numpy_path():
 
 
 def test_flagless_import_reports_active_path():
-    assert kernels.chord_gap_scan is kernels._ACTIVE["chord_gap_scan"]
+    assert kernels.int_relation_scan is kernels._ACTIVE["int_relation_scan"]

@@ -14,6 +14,7 @@ from bohrlab import (
     box_support,
     cross_support,
     iota,
+    measures,
     uniqueness_verdict,
 )
 from bohrlab.measures import SUPPORT_INDEX_SIZE, _maximal_cliques, support_index
@@ -185,6 +186,36 @@ def test_asymmetric_support_rejected():
     entries = {M.frequency(0): EC_ONE, M.frequency(1): EC_ZERO}
     with pytest.raises(InputError, match="symmetric"):
         FSMeasure(M, entries)
+    support = list(entries)
+    for build in (
+        lambda: FSMeasure.haar(M, support),
+        lambda: FSMeasure.point_mass_identity(M, support),
+        lambda: FSMeasure.from_point(M, support, iota(M, 1)),
+        lambda: TorusDensity.uniform(M).moments(support),
+    ):
+        with pytest.raises(InputError, match="symmetric"):
+            build()
+
+
+def test_each_construction_checks_the_support_once(monkeypatch):
+    check = measures.check_symmetric_support
+    calls = []
+
+    def counting(freqs):
+        calls.append(1)
+        return check(freqs)
+
+    monkeypatch.setattr(measures, "check_symmetric_support", counting)
+    for build in (
+        lambda: FSMeasure(M, {f: EC_ONE if f.is_zero() else EC_ZERO for f in F3}),
+        lambda: FSMeasure.haar(M, F3),
+        lambda: FSMeasure.point_mass_identity(M, F3),
+        lambda: FSMeasure.from_point(M, F3, iota(M, 1)),
+        lambda: TorusDensity.uniform(M).moments(F3),
+    ):
+        calls.clear()
+        build()
+        assert len(calls) == 1
 
 
 def test_exact_psd_certificate():

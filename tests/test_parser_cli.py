@@ -11,6 +11,7 @@ from bohrlab import (
     FrequencyModule,
     InputError,
     PiTimes,
+    cli,
     lower_expression,
     parse_expression,
     parse_scalar_literal,
@@ -375,6 +376,34 @@ def test_cli_non_finite_or_non_positive_flags_exit_2(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stdout
     assert "error" in _strict_json(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--eps", "1e-12"], ["--eps", "1e-320"], ["--eps", "0.1", "--t-max", "1e308"]],
+    ids=["eps_1e-12", "eps_1e-320", "t_max_1e308"],
+)
+def test_cli_kronecker_extreme_flags_answer_in_time(flags):
+    proc = run_cli(
+        "kronecker", "--generators", "1,sqrt2", "--target", "0,pi", *flags, timeout=5
+    )
+    assert proc.returncode in (0, 1), proc.stdout
+    assert "internal:" not in proc.stdout
+    report = _strict_json(proc.stdout)
+    if proc.returncode == 1:
+        assert report["found"] is False
+        assert report["reason"] in ("budget", "range")
+        assert report["points_scanned"] >= 1
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "kronecker_approx", broken)
+    code = cli.main(["kronecker", "--generators", "1,sqrt2", "--target", "0,pi", "--eps", "0.1"])
+    assert code == cli.EXIT_INTERNAL_ERROR == 3
+    assert _strict_json(capsys.readouterr().out)["error"] == "internal: RuntimeError: boom"
 
 
 def test_cli_fuzzed_inputs_never_crash(rng, tmp_path):

@@ -93,15 +93,17 @@ def quad_mean(f, T, n=200_001):
     return complex(np.trapezoid(ys, ts) / (2.0 * T))
 
 
-def brute_kronecker(gen_values, target_angles, eps, t_lo, t_hi, step):
-    """Plain scan oracle for the simultaneous approximation problem."""
-    t = t_lo
-    while t <= t_hi:
-        gap = max(
-            2.0 * abs(np.sin(0.5 * (g * t - th)))
-            for g, th in zip(gen_values, target_angles)
-        )
-        if gap < eps:
-            return t
-        t += step
+def brute_kronecker(gen_values, target_angles, eps, t_lo, t_hi, step, chunk=1 << 16):
+    """Plain scan oracle for the simultaneous approximation problem: the
+    first grid point t_lo + j*step <= t_hi whose worst chord distance
+    max_k |e^{i g_k t} - e^{i theta_k}| is below eps, or None.  The grid is
+    scanned in order, a chunk of points at a time; within a chunk, the
+    points still in play are tested one coordinate after another."""
+    n_points = int((t_hi - t_lo) // step) + 1
+    for start in range(0, n_points, chunk):
+        t = t_lo + step * np.arange(start, min(start + chunk, n_points))
+        for g, th in zip(gen_values, target_angles):
+            t = t[2.0 * np.abs(np.sin(0.5 * (g * t - th))) < eps]
+        if t.size:
+            return float(t[0])
     return None
