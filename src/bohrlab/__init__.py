@@ -20,7 +20,6 @@ from .fleischhack import (
     RPart,
     extension_agreement_check,
     extension_battery,
-    max_invariant_r_mass,
     q_invariance_verdict,
     r_part_invariance_verdict,
     theta_tilde,

@@ -20,10 +20,9 @@ from .errors import InputError
 from .frequencies import (
     Frequency,
     FrequencyModule,
-    chord_of,
-    phase_of,
     require_same_module,
     sub_real,
+    turn_table,
 )
 from .scalars import (
     Coeff,
@@ -208,16 +207,17 @@ class APFunction:
 
     def translate(self, t: RealLike) -> "APFunction":
         """Pullback under s -> t + s: each coefficient picks up e^{i*lambda*t}."""
+        phases = turn_table(self.module, t).phases([f.coords for f in self.coeffs])
         return APFunction(
             self.module,
-            {f: c_mul(phase_of(f, t), c) for f, c in self.coeffs.items()},
+            {f: c_mul(p, c) for (f, c), p in zip(self.coeffs.items(), phases)},
         )
 
     def continuity_modulus(self, t: RealLike, s: RealLike) -> float:
         """Upper bound sum |c_lambda| |e^{i lambda t} - e^{i lambda s}| for
         ||translate(t) - translate(s)||_inf; exact for single characters."""
-        dt = sub_real(t, s)
-        return float(sum(abs(c) * chord_of(f, dt) for f, c in self.coeffs.items()))
+        chords = turn_table(self.module, sub_real(t, s)).chords([f.coords for f in self.coeffs])
+        return float(sum(abs(c) * ch for c, ch in zip(self.coeffs.values(), chords.tolist())))
 
     def __repr__(self) -> str:
         n = len(self.coeffs)

@@ -33,7 +33,7 @@ from .parser import (
     parse_generator_literal,
     parse_scalar_literal,
 )
-from .scalars import coeff_to_json_pair
+from .scalars import coeff_to_json_pair, working_dps
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -322,6 +322,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         return _emit({"error": "invalid command-line arguments"}, EXIT_INPUT_ERROR)
     try:
+        working_dps()  # a bad BOHR_PRECISION is an input error, not a crash
         _check_numeric_flags(args)
         code, report = args.handler(args)
         text = json.dumps(report, indent=2, allow_nan=False)

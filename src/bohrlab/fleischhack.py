@@ -460,30 +460,6 @@ def r_part_invariance_verdict(r: RPart, t: RealLike, tol: float = R_MASS_TOL) ->
     return RInvarianceReport(True, None, masses[0], masses[1], float(worst), len(candidates))
 
 
-@dataclass(frozen=True)
-class DivergenceChain:
-    """The telescoping argument for a hypothetical t-invariant line part:
-    each window [j*t, (j+1)*t) carries the same mass c, so the prefix
-    masses grow linearly and a finite total forces c = 0."""
-
-    t: float
-    steps: tuple[tuple[int, str], ...]
-    max_invariant_mass: float
-
-    def __iter__(self):
-        return iter(self.steps)
-
-
-def max_invariant_r_mass(t: RealLike, steps: int = 8) -> DivergenceChain:
-    """Theorem form of the line-part elimination: exhibit the chain
-    mass([0, n*t)) = n * mass([0, t)) and conclude the invariant mass is 0."""
-    tq = abs(as_fraction(t))
-    if tq == 0:
-        raise InputError("shift must be nonzero")
-    chain = tuple((n, f"{n}*c") for n in range(1, steps + 1))
-    return DivergenceChain(float(tq), chain, 0.0)
-
-
 class QMeasure:
     """Measure on the glued space: a finite line part plus a weighted
     normalized torus part, with total mass 1."""

@@ -8,6 +8,17 @@ for the characters t -> e^{i*lambda*t} used everywhere else.
 Independence is undecidable from decimal data, so construction runs a
 bounded integer-relation scan (|n_i| <= 20 against an absolute tolerance
 of 1e-9) that catches the practical accidents such as {1, 1/2}.
+
+Every phase e^{i*lambda*t} is read from a ``TurnTable`` of the module and
+the shift t.  lambda*t = sum_k c_k (g_k*t) is linear in the coordinates,
+so the d per-generator products decide all frequencies at once: an
+integer key matrix of their symbolic terms gives the exact decisions
+(exact when no opaque term survives; in 2*pi*Z when moreover only a pi
+term divisible by 2L survives, L the common denominator), and fixed-point
+turns frac(g_k*t/(2*pi)) held with the working precision plus
+``TURN_GUARD_BITS`` bits give the numeric turn of everything else, reduced
+mod 1 by exact integer wrap-around.  ``turn_of``, ``phase_of``,
+``chord_of`` and ``in_two_pi_z`` are one-row calls into the same table.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +41,7 @@ from .scalars import (
     SymbolicReal,
     as_fraction,
     phase_from_turn,
+    symbol_kind,
     symbol_value,
 )
 
@@ -248,97 +260,174 @@ class Frequency:
     def value(self) -> float:
         return float(self.mp_value)
 
-    @cached_property
-    def symbolic(self) -> SymbolicReal:
-        acc = SymbolicReal.zero()
-        for c, g in zip(self.coords, self.module.generators):
-            if c:
-                acc = acc + g.symbolic.scaled(Fraction(c))
-        return acc
-
 
 # ------------------------------------------------------------------
 # phases of characters: everything downstream (translations, pushforwards,
-# invariance checks) funnels through these three helpers so that the exact
-# and numeric decisions stay consistent package-wide.
+# invariance checks, verdicts) reads them from one turn table per
+# (module, shift), so the exact and numeric decisions stay consistent
+# package-wide.
 # ------------------------------------------------------------------
 
+TURN_GUARD_BITS = 64  # fixed-point turn bits kept beyond the working precision
+TURN_TABLE_SIZE = 64  # (module, shift) tables kept; see turn_table
 
-def scaled_symbolic(freq: Frequency, t: RealLike) -> SymbolicReal:
-    """The product lambda*t as a symbolic real.
 
-    Shifts may be rationals, rational multiples of pi, or SymbolicReal
-    values (e.g. a rational multiple of sqrt2); products that leave the
-    exactly decidable class degrade to an opaque term carrying the
-    high-precision numeric value.
+def _generator_product(g: SymbolicReal, t: RealLike) -> SymbolicReal:
+    """The product g*t of one generator's one-term value g with a shift.
+
+    Shifts may be rationals (floats convert exactly), rational multiples
+    of pi, or SymbolicReal values.  A product that leaves the exactly
+    decidable class is an opaque tag carrying g's coefficient and the
+    high-precision numeric value, so the product stays linear in g and
+    equal tags from different generators add like any other term.
     """
-    sym = freq.symbolic
     if isinstance(t, PiTimes):
-        return sym.scaled(t.factor).times_pi()
-    if isinstance(t, SymbolicReal):
-        return _sym_product(sym, t)
-    return sym.scaled(as_fraction(t))
+        return g.scaled(t.factor).times_pi()
+    if not isinstance(t, SymbolicReal):
+        return g.scaled(as_fraction(t))
+    ((tag, q),) = g.terms.items()
+    if tag == RATIONAL_KEY:
+        return t.scaled(q)
+    if all(k == RATIONAL_KEY for k in t.terms):
+        return g.scaled(t.terms.get(RATIONAL_KEY, Fraction(0)))
+    if set(t.terms) == {PI_KEY}:
+        return g.scaled(t.terms[PI_KEY]).times_pi()
+    if tag == PI_KEY:
+        return t.scaled(q).times_pi()
+    if set(t.terms) == {tag} and tag.startswith("sqrt") and tag[4:].isdigit():
+        return SymbolicReal.rational(q * t.terms[tag] * int(tag[4:]))
+    opaque = "?(" + tag + ")x(" + "|".join(sorted(t.terms)) + ")"
+    return SymbolicReal({opaque: q}, g.approx * t.approx)
 
 
-def _sym_product(a: SymbolicReal, b: SymbolicReal) -> SymbolicReal:
-    def pure_rational(s: SymbolicReal) -> Fraction | None:
-        if all(k == RATIONAL_KEY for k in s.terms):
-            return s.terms.get(RATIONAL_KEY, Fraction(0))
-        return None
+def _fixed_turn(value: mp.mpf, bits: int) -> int:
+    """frac(value/(2*pi)) as an integer numerator over 2**bits."""
+    if not value:
+        return 0
+    with mp.workprec(bits + max(int(mp.mag(value)), 0) + 16):
+        return int(mp.nint(mp.ldexp(value / (2 * mp.pi), bits))) % (1 << bits)
 
-    qa, qb = pure_rational(a), pure_rational(b)
-    if qa is not None:
-        return b.scaled(qa)
-    if qb is not None:
-        return a.scaled(qb)
-    if set(b.terms) == {PI_KEY}:
-        return a.scaled(b.terms[PI_KEY]).times_pi()
-    if set(a.terms) == {PI_KEY}:
-        return b.scaled(a.terms[PI_KEY]).times_pi()
-    if set(a.terms) == set(b.terms) and len(a.terms) == 1:
-        tag = next(iter(a.terms))
-        if tag.startswith("sqrt") and tag[4:].isdigit():
-            n = int(tag[4:])
-            return SymbolicReal.rational(a.terms[tag] * b.terms[tag] * n)
-    tag = "?(" + "|".join(sorted(a.terms)) + ")x(" + "|".join(sorted(b.terms)) + ")"
-    return SymbolicReal({tag: Fraction(1)}, a.approx * b.approx)
+
+class TurnTable:
+    """The products lambda*t of one shift t with every frequency lambda of a
+    module, from the d per-generator products g_k*t (see the module
+    docstring for the rule).
+
+    ``_keys`` is the (d, columns) integer key matrix: each product's term
+    coefficients times their common denominator L, the pi column first,
+    then the ``_opaque`` opaque columns, then the rationals and square
+    roots.  ``_turns`` holds round(frac(g_k*t/(2*pi)) * 2**bits); the
+    guard bits in ``bits`` absorb the growth of rounding with the
+    coordinates.  Rows are coordinate tuples or an (n, d) integer array,
+    and the arithmetic runs on Python integers, so coordinates have no
+    size limit.
+    """
+
+    __slots__ = ("dim", "bits", "_den", "_keys", "_opaque", "_turns")
+
+    def __init__(self, module: FrequencyModule, t: RealLike):
+        products = [_generator_product(g.symbolic, t) for g in module.generators]
+        den = math.lcm(*(q.denominator for p in products for q in p.terms.values()))
+        tags = sorted({k for p in products for k in p.terms} - {PI_KEY})
+        opaque = [k for k in tags if symbol_kind(k) == "opaque"]
+        columns = [PI_KEY, *opaque, *(k for k in tags if symbol_kind(k) != "opaque")]
+        keys = [[int(p.terms.get(k, 0) * den) for k in columns] for p in products]
+        self.dim = module.dim
+        self.bits = mp.mp.prec + TURN_GUARD_BITS
+        self._den = den
+        self._keys = np.array(keys, dtype=object)
+        self._opaque = len(opaque)
+        self._turns = np.array([_fixed_turn(p.approx, self.bits) for p in products], dtype=object)
+        for a in (self._keys, self._turns):
+            a.setflags(write=False)  # shared by every caller through the cache
+
+    def _rows(self, rows):
+        """(coordinates, pi keys, has an opaque key, has another non-pi key)."""
+        c = np.array(rows, dtype=object).reshape(-1, self.dim)
+        keys = c @ self._keys
+        nonzero = keys[:, 1:] != 0
+        opaque = nonzero[:, : self._opaque].any(axis=1)
+        rest = nonzero[:, self._opaque :].any(axis=1)
+        return c, keys[:, 0], opaque, rest
+
+    def _fixed(self, c: np.ndarray) -> list[int]:
+        """The rows' fixed-point turns in [0, 2**bits)."""
+        return ((c @ self._turns) % (1 << self.bits)).tolist()
+
+    def exact(self, rows) -> np.ndarray:
+        """Whether each row's product is decided exactly (no opaque term)."""
+        return ~self._rows(rows)[2]
+
+    def in_two_pi_z(self, rows, tol: float = 1e-12) -> np.ndarray:
+        """Whether each row's lambda*t is an integer multiple of 2*pi: exact
+        from the keys, or, with an opaque term, whether the turn lies within
+        ``tol`` of an integer."""
+        c, pi, opaque, rest = self._rows(rows)
+        out = ~opaque & ~rest & (pi % (2 * self._den) == 0)
+        if opaque.any():
+            one = 1 << self.bits
+            limit = Fraction(tol) * one if math.isfinite(tol) else tol
+            out[opaque] = [min(u, one - u) < limit for u in self._fixed(c[opaque])]
+        return out
+
+    def turns(self, rows, folded: bool = False) -> list[Fraction | float]:
+        """lambda*t/(2*pi) mod 1 per row: an exact Fraction when the product
+        is a rational multiple of pi, else a float rounded from the
+        fixed-point turn.  ``folded`` maps the turns into (-1/2, 1/2]."""
+        c, pi, opaque, rest = self._rows(rows)
+        numeric = (opaque | rest).tolist()
+        fixed = self._fixed(c) if any(numeric) else None
+        one, two_den = 1 << self.bits, 2 * self._den
+        out: list[Fraction | float] = []
+        for k, num in enumerate(numeric):
+            if num:
+                u = fixed[k]
+                out.append((u - one if folded and 2 * u > one else u) / one)
+            else:
+                q = Fraction(pi[k], two_den) % 1
+                out.append(q - 1 if folded and 2 * q > 1 else q)
+        return out
+
+    def chords(self, rows) -> np.ndarray:
+        """|e^{i*lambda*t} - 1| = 2|sin(lambda*t/2)| per row, exactly 0 for
+        periodic products."""
+        turns = self.turns(rows, folded=True)
+        return np.array([2.0 * abs(math.sin(math.pi * float(u))) for u in turns], dtype=np.float64)
+
+    def phases(self, rows) -> list:
+        """e^{i*lambda*t} per row as a coefficient, exact on quarter turns."""
+        return [phase_from_turn(u) for u in self.turns(rows, folded=True)]
+
+
+def turn_table(module: FrequencyModule, t: RealLike) -> TurnTable:
+    """The :class:`TurnTable` of a module and a shift.
+
+    Tables are cached, keyed on the module, the shift and the working
+    precision, for the ``TURN_TABLE_SIZE`` most recent pairs: a verdict, a
+    projection and an invariance check over the same shifts share them.
+    """
+    return _cached_turn_table(module, t, mp.mp.prec)
+
+
+@lru_cache(maxsize=TURN_TABLE_SIZE)
+def _cached_turn_table(module: FrequencyModule, t: RealLike, prec: int) -> TurnTable:
+    return TurnTable(module, t)
 
 
 def turn_of(freq: Frequency, t: RealLike) -> Fraction | float:
     """lambda*t/(2*pi) mod 1: exact Fraction when lambda*t is a rational
-    multiple of pi, float (reduced at working precision) otherwise."""
-    x = scaled_symbolic(freq, t)
-    if all(k == PI_KEY for k in x.terms):
-        return (x.terms.get(PI_KEY, Fraction(0)) / 2) % 1
-    return float((x.approx / (2 * mp.pi)) % 1)
-
-
-def folded_turn_of(freq: Frequency, t: RealLike) -> Fraction | float:
-    """Like :func:`turn_of` but folded into (-1/2, 1/2], with the fold done
-    at working precision so near-periodic phases keep full accuracy."""
-    x = scaled_symbolic(freq, t)
-    if all(k == PI_KEY for k in x.terms):
-        u = (x.terms.get(PI_KEY, Fraction(0)) / 2) % 1
-        return u - 1 if u > Fraction(1, 2) else u
-    u = (x.approx / (2 * mp.pi)) % 1
-    if u > mp.mpf("0.5"):
-        u -= 1
-    return float(u)
+    multiple of pi, else a float rounded from the fixed-point turn."""
+    return turn_table(freq.module, t).turns([freq.coords])[0]
 
 
 def phase_of(freq: Frequency, t: RealLike):
     """e^{i*lambda*t} as a coefficient, exact when the turn allows."""
-    return phase_from_turn(folded_turn_of(freq, t))
+    return turn_table(freq.module, t).phases([freq.coords])[0]
 
 
 def chord_of(freq: Frequency, t: RealLike) -> float:
     """|e^{i*lambda*t} - 1| = 2|sin(lambda*t/2)|, exactly 0 for periodic shifts."""
-    turn = folded_turn_of(freq, t)
-    if isinstance(turn, Fraction):
-        if turn == 0:
-            return 0.0
-        turn = float(turn)
-    return 2.0 * abs(math.sin(math.pi * turn))
+    return float(turn_table(freq.module, t).chords([freq.coords])[0])
 
 
 def in_two_pi_z(freq: Frequency, t: RealLike, tol: float = 1e-12) -> bool:
@@ -347,7 +436,7 @@ def in_two_pi_z(freq: Frequency, t: RealLike, tol: float = 1e-12) -> bool:
     Exact for rational/pi/squarefree-root combinations; numeric against
     ``tol`` when opaque symbols are involved.
     """
-    return scaled_symbolic(freq, t).in_two_pi_z(tol)
+    return bool(turn_table(freq.module, t).in_two_pi_z([freq.coords], tol)[0])
 
 
 def sub_real(t: RealLike, s: RealLike) -> RealLike:

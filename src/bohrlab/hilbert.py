@@ -15,7 +15,7 @@ import numpy as np
 
 from .ap import APFunction
 from .errors import InputError
-from .frequencies import Frequency, chord_of, phase_of, require_same_module
+from .frequencies import Frequency, require_same_module, turn_table
 from .measures import FSMeasure, PSD_TOL
 from .scalars import Coeff, EC_ZERO, RealLike, c_add, c_conj, c_mul
 
@@ -32,27 +32,27 @@ class GramOperator:
         return float(np.max(np.abs(self.matrix - np.eye(len(self.basis)))))
 
 
+def _basis_positions(mu: FSMeasure, basis: tuple[Frequency, ...]) -> np.ndarray:
+    """(m, m) table of the support positions of the basis differences
+    lambda_i - lambda_j, found by coordinates; every difference must carry
+    a moment."""
+    if not basis:
+        raise InputError("basis must be nonempty")
+    for f in basis:
+        require_same_module(mu.module, f.module)
+    where = {f.coords: k for k, f in enumerate(mu.support)}
+    diffs = [tuple(x - y for x, y in zip(a.coords, b.coords)) for a in basis for b in basis]
+    missing = sorted({c for c in diffs if c not in where})
+    if missing:
+        raise InputError(f"measure is missing moments for differences: {missing}")
+    return np.array([where[c] for c in diffs], dtype=np.intp).reshape(len(basis), len(basis))
+
+
 def gram_matrix(mu: FSMeasure, basis) -> GramOperator:
     """Gram matrix of the character basis under mu; every pairwise
     difference must carry a moment."""
     basis = tuple(basis)
-    if not basis:
-        raise InputError("basis must be nonempty")
-    missing = sorted(
-        {
-            (a - b).coords
-            for a in basis
-            for b in basis
-            if (a - b) not in mu.entries
-        }
-    )
-    if missing:
-        raise InputError(f"measure is missing moments for differences: {missing}")
-    m = len(basis)
-    g = np.empty((m, m), dtype=np.complex128)
-    for i in range(m):
-        for j in range(m):
-            g[i, j] = complex(mu.entries[basis[i] - basis[j]])
+    g = mu._moment_vector()[_basis_positions(mu, basis)]
     op = GramOperator(basis, g)
     if np.max(np.abs(g - g.conj().T)) > 1e-12:
         raise InputError("gram matrix is not Hermitian")
@@ -63,7 +63,11 @@ def gram_matrix(mu: FSMeasure, basis) -> GramOperator:
 
 def translation_matrix(t: RealLike, basis) -> np.ndarray:
     """diag(e^{i lambda_k t}): the translation operator in the character basis."""
-    return np.diag([complex(phase_of(f, t)) for f in basis])
+    basis = tuple(basis)
+    for f in basis[1:]:
+        require_same_module(basis[0].module, f.module)
+    phases = turn_table(basis[0].module, t).phases([f.coords for f in basis]) if basis else []
+    return np.diag([complex(p) for p in phases])
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,14 @@ def unitarity_check(mu: FSMeasure, basis, t: RealLike, tol: float = 1e-12) -> Un
     violation |mu_hat(delta)| |e^{i delta t} - 1|.
     """
     basis = tuple(basis)
-    gram_matrix(mu, basis)  # validates the needed moments exist
-    worst, pair = 0.0, None
-    for a in basis:
-        for b in basis:
-            delta = a - b
-            v = abs(mu.entries[delta]) * chord_of(delta, t)
-            if v > worst:
-                worst, pair = v, (a, b)
+    # The basis Gram matrix is a principal submatrix of a clique block the
+    # measure's construction already checked, so membership is all to check.
+    pos = _basis_positions(mu, basis).reshape(-1)
+    chords = turn_table(mu.module, t).chords([f.coords for f in mu.support])
+    v = np.fmax(mu._moment_sizes() * chords, 0.0)[pos]  # fmax drops NaN products
+    i = int(np.argmax(v))
+    worst = float(v[i])
+    pair = (basis[i // len(basis)], basis[i % len(basis)]) if worst > 0.0 else None
     return UnitarityReport(worst <= tol, worst, pair, tol)
 
 

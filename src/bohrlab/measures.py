@@ -16,11 +16,21 @@ indexed by a precomputed table, and the PSD check is one batched
 draw a fresh support for nearly every measure reuse nothing from it, and
 every entry held costs memory.
 
+``haar`` and ``from_point`` skip the Hermitian and PSD checks: Haar
+blocks are the identity and a Dirac point's blocks are the rank-one
+v v* up to rounding.  ``__init__``, ``mixture`` and the translation
+results keep every check.
+
 Translation by t multiplies mu_hat(lambda) by e^{i*lambda*t}, so a measure
 is invariant under a set of shifts exactly when the shifts kill every
-nonzero moment.  ``uniqueness_verdict`` decides, per frequency, whether
-some shift forces the moment to vanish; when every nonzero frequency is
-killed the only surviving moment data is the Haar measure's.
+nonzero moment.  ``uniqueness_verdict`` decides whether some shift
+forces each moment to vanish; when every nonzero frequency is killed the
+only surviving moment data is the Haar measure's.  Pushforwards,
+invariance reports, projections and verdicts take every phase of a
+shift from one :class:`bohrlab.frequencies.TurnTable` pass over the
+support's coordinates: exact from integer keys for rational, pi and
+square-root products, numeric against ``tol`` from fixed-point turns
+when an opaque symbol is involved.
 
 ``TorusDensity`` realizes moment data concretely as a trigonometric
 density on the torus (d <= 2), giving an independent, set-level view of
@@ -43,10 +53,8 @@ from .errors import InputError
 from .frequencies import (
     Frequency,
     FrequencyModule,
-    chord_of,
-    in_two_pi_z,
-    phase_of,
     require_same_module,
+    turn_table,
 )
 from .scalars import (
     Coeff,
@@ -240,6 +248,17 @@ class FSMeasure:
         mu._build(module, entries, support)
         return mu
 
+    @classmethod
+    def _by_construction(cls, module, entries, support) -> "FSMeasure":
+        """Adopt moments that are normalized, Hermitian and positive
+        definite by construction (Haar, a Dirac point) on a checked
+        ``support``: only the frequencies' module is checked."""
+        for f in support:
+            require_same_module(module, f.module)
+        mu = cls.__new__(cls)
+        mu.module, mu.entries, mu.support = module, entries, support
+        return mu
+
     def _build(self, module, entries, support) -> None:
         for f in support:
             require_same_module(module, f.module)
@@ -268,9 +287,10 @@ class FSMeasure:
 
     @staticmethod
     def haar(module: FrequencyModule, support) -> "FSMeasure":
-        return FSMeasure(
-            module, {f: EC_ONE if f.is_zero() else EC_ZERO for f in support}
-        )
+        """Moments delta_{lambda,0}: every Gram block is the identity."""
+        support = check_symmetric_support(support)
+        entries = {f: EC_ONE if f.is_zero() else EC_ZERO for f in support}
+        return FSMeasure._by_construction(module, entries, support)
 
     @staticmethod
     def point_mass_identity(module: FrequencyModule, support) -> "FSMeasure":
@@ -278,14 +298,17 @@ class FSMeasure:
 
     @staticmethod
     def from_point(module: FrequencyModule, support, psi: BohrPoint) -> "FSMeasure":
-        """Moments of the Dirac measure at psi: mu_hat(lambda) = psi(chi_lambda)."""
+        """Moments of the Dirac measure at psi: mu_hat(lambda) = psi(chi_lambda).
+
+        Every Gram block is the rank-one v v* with v_i = psi(chi_lambda_i),
+        up to rounding of float turns, so no PSD check runs."""
         support = check_symmetric_support(support)
         entries: dict[Frequency, Coeff] = {module.zero(): EC_ONE}
         for f in _positive_half(support):
             v = psi.char_value(f)
             entries[f] = v
             entries[-f] = c_conj(v)
-        return FSMeasure._from_checked(module, entries, support)
+        return FSMeasure._by_construction(module, entries, support)
 
     @staticmethod
     def mixture(parts) -> "FSMeasure":
@@ -335,6 +358,10 @@ class FSMeasure:
         """The moments as complex128, in support order."""
         return np.array([complex(self.entries[f]) for f in self.support], dtype=np.complex128)
 
+    def _moment_sizes(self) -> np.ndarray:
+        """|mu_hat(lambda)| in support order, each from Python's complex abs."""
+        return np.array([abs(self.entries[f]) for f in self.support], dtype=np.float64)
+
     def gram_blocks(self) -> list[tuple[list[Frequency], np.ndarray]]:
         """One Gram matrix [mu_hat(a - b)] per maximal difference clique."""
         index = support_index(self.support)
@@ -366,40 +393,46 @@ class FSMeasure:
 
     def pushforward(self, t: RealLike) -> "FSMeasure":
         """Image under translation by iota(t): mu_hat(lambda) *= e^{i*lambda*t}."""
+        half = _positive_half(self.support)
+        phases = turn_table(self.module, t).phases([f.coords for f in half])
         entries: dict[Frequency, Coeff] = {self.module.zero(): EC_ONE}
-        for f in _positive_half(self.support):
-            v = c_mul(phase_of(f, t), self.entries[f])
+        for f, p in zip(half, phases):
+            v = c_mul(p, self.entries[f])
             entries[f] = v
             entries[-f] = c_conj(v)
-        return FSMeasure(self.module, entries)
+        return FSMeasure._from_checked(self.module, entries, self.support)
 
     def is_invariant(self, shifts, tol: float = 1e-12) -> "InvarianceReport":
         """Moment form of translation invariance: |mu_hat(lambda)| *
-        |e^{i*lambda*t} - 1| <= tol for every support frequency and shift."""
+        |e^{i*lambda*t} - 1| <= tol for every support frequency and shift.
+
+        The worst violation is the first largest one, shifts in order and
+        the support in order within a shift."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
+        rows = [f.coords for f in self.support]
+        sizes = self._moment_sizes()
         worst, worst_f, worst_t = 0.0, None, None
         for t in shifts:
-            for f in self.support:
-                if f.is_zero():
-                    continue
-                v = abs(self.entries[f]) * chord_of(f, t)
-                if v > worst:
-                    worst, worst_f, worst_t = v, f, t
+            # fmax drops NaN products, which never count as a violation
+            v = np.fmax(sizes * turn_table(self.module, t).chords(rows), 0.0)
+            i = int(np.argmax(v))
+            if v[i] > worst:
+                worst, worst_f, worst_t = float(v[i]), self.support[i], t
         return InvarianceReport(worst <= tol, worst, worst_f, worst_t, tol)
 
     def project_to_invariant(self, shifts, tol: float = 1e-12) -> "FSMeasure":
         """Zero the moments killed by the shifts (the orbit average), keeping
         the surviving ones untouched."""
-        entries: dict[Frequency, Coeff] = {}
-        for f in self.support:
-            if f.is_zero():
-                entries[f] = EC_ONE
-            elif any(not in_two_pi_z(f, t, tol) for t in shifts):
-                entries[f] = EC_ZERO
-            else:
-                entries[f] = self.entries[f]
-        return FSMeasure(self.module, entries)
+        rows = [f.coords for f in self.support]
+        killed = np.zeros(len(rows), dtype=bool)
+        for t in shifts:
+            killed |= ~turn_table(self.module, t).in_two_pi_z(rows, tol)
+        entries = {
+            f: EC_ZERO if dead else self.entries[f] for f, dead in zip(self.support, killed)
+        }
+        entries[self.module.zero()] = EC_ONE
+        return FSMeasure._from_checked(self.module, entries, self.support)
 
     def __repr__(self) -> str:
         return f"FSMeasure({len(self.support)} moments over {self.module.dim}-gen module)"
@@ -445,20 +478,20 @@ def uniqueness_verdict(
     and numeric at ``tol`` otherwise.
     """
     support = check_symmetric_support(support)
-    surviving: list[Frequency] = []
-    killers: dict[Frequency, object] = {}
     for f in support:
-        if f.is_zero():
-            continue
-        killer = None
-        for t in shifts:
-            if not in_two_pi_z(f, t, tol):
-                killer = t
-                break
-        if killer is None:
-            surviving.append(f)
-        else:
-            killers[f] = killer
+        require_same_module(module, f.module)
+    rows = [f.coords for f in support]
+    killer_at: list = [None] * len(support)
+    alive = np.array([not f.is_zero() for f in support])
+    for t in shifts:
+        if not alive.any():
+            break
+        hit = alive & ~turn_table(module, t).in_two_pi_z(rows, tol)
+        for i in np.flatnonzero(hit):
+            killer_at[i] = t
+        alive &= ~hit
+    surviving = [f for f, a in zip(support, alive) if a]
+    killers = {f: k for f, k in zip(support, killer_at) if k is not None}
     verdict = "ForcedHaar" if not surviving else "Undetermined"
     return UniquenessVerdict(verdict, tuple(surviving), killers)
 
@@ -605,10 +638,8 @@ class TorusDensity:
 
     def shifted(self, t: RealLike) -> "TorusDensity":
         """Pushforward density under translation by iota(t)."""
-        coeffs: dict[tuple[int, ...], Coeff] = {}
-        for n, c in self.coeffs.items():
-            f = self.module.frequency(*n)
-            coeffs[n] = c_mul(c, c_conj(phase_of(f, t)))
+        phases = turn_table(self.module, t).phases(list(self.coeffs))
+        coeffs = {n: c_mul(c, c_conj(p)) for (n, c), p in zip(self.coeffs.items(), phases)}
         return TorusDensity(self.module, coeffs)
 
     def set_invariance_check(self, box, t: RealLike) -> tuple[float, float]:

@@ -7,12 +7,16 @@ Three representations cooperate here:
 * ``PiTimes`` -- a rational multiple of pi, used for translation amounts
   whose phases must stay exact (e.g. a shift by pi).
 * ``SymbolicReal`` -- a rational linear combination of known constants
-  (1, pi, square roots of squarefree integers, opaque user symbols).
-  It supports the one exact decision the verifiers need: whether a value
-  is an integer multiple of 2*pi.
+  (1, pi, square roots of squarefree integers, opaque user symbols),
+  with its high-precision value.  ``symbol_kind`` sorts the terms into
+  those the exact multiple-of-2*pi decision of
+  ``bohrlab.frequencies.TurnTable`` can use and the opaque rest.
 
 Working precision for numeric constants is 50 decimal digits by default
 and can be overridden with the ``BOHR_PRECISION`` environment variable.
+An invalid value (not an integer, or below 15) keeps the default at
+import; ``working_dps()`` raises the ``InputError`` for it, and the CLI
+reports it as an input error.
 """
 
 from __future__ import annotations
@@ -43,7 +47,12 @@ def working_dps() -> int:
     return dps
 
 
-mp.mp.dps = working_dps()
+try:
+    mp.mp.dps = working_dps()
+except InputError:
+    # A bad value must not fail the import: the CLI could not report it.
+    # ``cli.main`` calls working_dps() again and reports the error (exit 2).
+    mp.mp.dps = DEFAULT_DPS
 
 TWO_PI = 2 * math.pi
 
@@ -262,28 +271,6 @@ class SymbolicReal:
             else:
                 terms["(" + k + ")*pi"] = v  # opaque product
         return SymbolicReal(terms, self.approx * mp.pi)
-
-    def is_exactly_decidable(self) -> bool:
-        return all(symbol_kind(k) != "opaque" for k in self.terms)
-
-    def in_two_pi_z(self, tol: float = 1e-12) -> bool:
-        """Is this value an integer multiple of 2*pi?
-
-        Exact whenever every term is rational, a rational multiple of pi, or
-        a rational multiple of a squarefree square root; otherwise decided
-        numerically against ``tol`` (distance of value/(2*pi) to the nearest
-        integer).
-        """
-        if self.is_exactly_decidable():
-            for k, v in self.terms.items():
-                if k == PI_KEY:
-                    if (v / 2).denominator != 1:
-                        return False
-                elif v != 0:
-                    return False
-            return True
-        x = self.approx / (2 * mp.pi)
-        return abs(x - mp.nint(x)) < tol
 
     def __float__(self) -> float:
         return float(self.approx)

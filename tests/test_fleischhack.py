@@ -24,7 +24,6 @@ from bohrlab import (
     extension_agreement_check,
     extension_battery,
     iota,
-    max_invariant_r_mass,
     q_invariance_verdict,
     r_part_invariance_verdict,
     theta_tilde,
@@ -302,22 +301,6 @@ def test_random_positive_mass_always_violated(rng):
         tq = Fraction(t)
         diff = abs(r.interval_mass(lo, hi) - r.interval_mass(lo + tq, hi + tq))
         assert float(diff) > 1e-12
-
-
-def test_divergence_chain_form():
-    chain = max_invariant_r_mass(0.7, steps=6)
-    assert chain.max_invariant_mass == 0.0
-    assert [n for n, _ in chain.steps] == [1, 2, 3, 4, 5, 6]
-    assert all(label == f"{n}*c" for n, label in chain.steps)
-
-
-def test_divergence_chain_telescopes_on_window_masses():
-    # for a hypothetically invariant measure each window has equal mass c,
-    # so the prefix [0, n t) has mass n*c; a finite total forces c = 0
-    c = Fraction(1, 3)
-    masses = [n * c for n, _ in max_invariant_r_mass(Fraction(1, 2), steps=8)]
-    assert masses == [Fraction(n, 3) for n in range(1, 9)]
-    assert masses[-1] - masses[-2] == c  # constant increments
 
 
 def test_r_part_shift_zero_rejected():

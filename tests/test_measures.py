@@ -17,9 +17,9 @@ from bohrlab import (
     measures,
     uniqueness_verdict,
 )
-from bohrlab.measures import SUPPORT_INDEX_SIZE, _maximal_cliques, support_index
-from bohrlab.scalars import EC_ONE, EC_ZERO
-from util import random_psd_measure
+from bohrlab.measures import PSD_TOL, SUPPORT_INDEX_SIZE, _maximal_cliques, support_index
+from bohrlab.scalars import EC_ONE, EC_ZERO, c_conj
+from util import random_point, random_psd_measure
 
 M = FrequencyModule.integers()
 F3 = box_support(M, 3)
@@ -218,6 +218,24 @@ def test_each_construction_checks_the_support_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_haar_and_point_moments_are_positive_definite_by_construction(rng):
+    # haar and from_point skip the PSD check; these are the supports of the
+    # moments_fixed_support benchmark, with 50 points each of exact and
+    # float turns
+    m2, m3 = FrequencyModule.make(1, "sqrt2"), FrequencyModule.make(1, "sqrt2", "sqrt3")
+    supports = [(M, box_support(M, 6)), (m2, box_support(m2, 2)), (m3, cross_support(m3, 2))]
+    for module, support in supports:
+        haar = FSMeasure.haar(module, support)
+        assert haar.psd_defect() == 1.0 and haar.exact_psd()
+        points = [random_point(module, rng, exact_prob=p) for p in (1.0, 0.0) for _ in range(25)]
+        for psi in points:
+            mu = FSMeasure.from_point(module, support, psi)
+            assert mu.entries[module.zero()] == EC_ONE
+            assert all(mu.entries[-f] == c_conj(mu.entries[f]) for f in support)
+            assert mu.psd_defect() >= -PSD_TOL
+            assert mu.exact_psd() is (True if mu.is_exact() else None)
+
+
 def test_exact_psd_certificate():
     half = ExactComplex(Fraction(1, 2))
     good = FSMeasure(
@@ -412,7 +430,7 @@ def test_support_index_cache_stays_bounded():
         ks = [k for k in range(1, 8) if mask >> (k - 1) & 1]
         support = tuple(M.frequency(k) for k in sorted({0, *ks, *(-k for k in ks)}))
         seen.add(support)
-        FSMeasure.haar(M, support)
+        support_index(support)
     assert len(seen) == 100
     info = support_index.cache_info()
     assert info.maxsize == SUPPORT_INDEX_SIZE
@@ -420,9 +438,17 @@ def test_support_index_cache_stays_bounded():
 
 
 def test_support_index_rejects_coordinates_outside_int64_differences():
+    def haar_entries(support):
+        return {f: EC_ONE if f.is_zero() else EC_ZERO for f in support}
+
     big = 2**62
     support = (M.frequency(-big), M.zero(), M.frequency(big))
     with pytest.raises(InputError, match="2\\*\\*62"):
-        FSMeasure.haar(M, support)
+        FSMeasure(M, haar_entries(support))
     ok = (M.frequency(1 - big), M.zero(), M.frequency(big - 1))
-    assert FSMeasure.haar(M, ok).psd_defect() == 1.0
+    assert FSMeasure(M, haar_entries(ok)).psd_defect() == 1.0
+    # Haar moments need no PSD check, and the phase layer has no
+    # coordinate limit: the shifts kill both nonzero moments.
+    mu = FSMeasure.haar(M, support)
+    assert mu.is_invariant([Fraction(1, 3)]).ok
+    assert uniqueness_verdict(M, support, [Fraction(1, 3)]).forced

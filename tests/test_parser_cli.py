@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -376,6 +377,18 @@ def test_cli_non_finite_or_non_positive_flags_exit_2(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stdout
     assert "error" in _strict_json(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("10", "at least 15"), ("fifty", "must be an integer")],
+    ids=["below_15", "not_an_integer"],
+)
+def test_cli_bad_precision_env_exits_2(value, message):
+    proc = run_cli("mean", "chi(1)", env=dict(os.environ, BOHR_PRECISION=value))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in _strict_json(proc.stdout)["error"]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from bohrlab import (
@@ -11,6 +13,15 @@ from bohrlab import (
     ExactComplex,
     FSMeasure,
     RPart,
+)
+from bohrlab.scalars import (
+    PI_KEY,
+    RATIONAL_KEY,
+    PiTimes,
+    SymbolicReal,
+    as_fraction,
+    phase_from_turn,
+    symbol_kind,
 )
 
 
@@ -107,3 +118,93 @@ def brute_kronecker(gen_values, target_angles, eps, t_lo, t_hi, step, chunk=1 <<
         if t.size:
             return float(t[0])
     return None
+
+
+# ------------------------------------------------------------------
+# per-frequency phase oracle: lambda*t built as one SymbolicReal per
+# frequency and shift, the way the library computed every phase before
+# its turn tables
+# ------------------------------------------------------------------
+
+
+def reference_symbolic(freq):
+    acc = SymbolicReal.zero()
+    for c, g in zip(freq.coords, freq.module.generators):
+        if c:
+            acc = acc + g.symbolic.scaled(Fraction(c))
+    return acc
+
+
+def _reference_sym_product(a, b):
+    def pure_rational(s):
+        if all(k == RATIONAL_KEY for k in s.terms):
+            return s.terms.get(RATIONAL_KEY, Fraction(0))
+        return None
+
+    qa, qb = pure_rational(a), pure_rational(b)
+    if qa is not None:
+        return b.scaled(qa)
+    if qb is not None:
+        return a.scaled(qb)
+    if set(b.terms) == {PI_KEY}:
+        return a.scaled(b.terms[PI_KEY]).times_pi()
+    if set(a.terms) == {PI_KEY}:
+        return b.scaled(a.terms[PI_KEY]).times_pi()
+    if set(a.terms) == set(b.terms) and len(a.terms) == 1:
+        tag = next(iter(a.terms))
+        if tag.startswith("sqrt") and tag[4:].isdigit():
+            n = int(tag[4:])
+            return SymbolicReal.rational(a.terms[tag] * b.terms[tag] * n)
+    tag = "?(" + "|".join(sorted(a.terms)) + ")x(" + "|".join(sorted(b.terms)) + ")"
+    return SymbolicReal({tag: Fraction(1)}, a.approx * b.approx)
+
+
+def reference_product(freq, t):
+    """lambda*t as one SymbolicReal; products outside the exactly
+    decidable class degrade to an opaque tag with the numeric value."""
+    sym = reference_symbolic(freq)
+    if isinstance(t, PiTimes):
+        return sym.scaled(t.factor).times_pi()
+    if isinstance(t, SymbolicReal):
+        return _reference_sym_product(sym, t)
+    return sym.scaled(as_fraction(t))
+
+
+def reference_turn(freq, t, folded=False):
+    x = reference_product(freq, t)
+    if all(k == PI_KEY for k in x.terms):
+        u = (x.terms.get(PI_KEY, Fraction(0)) / 2) % 1
+        return u - 1 if folded and u > Fraction(1, 2) else u
+    u = (x.approx / (2 * mp.pi)) % 1
+    if folded and u > mp.mpf("0.5"):
+        u -= 1
+    return float(u)
+
+
+def reference_chord(freq, t):
+    turn = reference_turn(freq, t, folded=True)
+    if isinstance(turn, Fraction):
+        if turn == 0:
+            return 0.0
+        turn = float(turn)
+    return 2.0 * abs(math.sin(math.pi * turn))
+
+
+def reference_phase(freq, t):
+    return phase_from_turn(reference_turn(freq, t, folded=True))
+
+
+def reference_exact(x):
+    """Whether a symbolic value is exactly decidable: no opaque term."""
+    return all(symbol_kind(k) != "opaque" for k in x.terms)
+
+
+def reference_in_two_pi_z(freq, t, tol=1e-12):
+    """Exact when every term is rational, a rational multiple of pi or of
+    a squarefree square root; otherwise the distance of value/(2*pi) to the
+    nearest integer against ``tol``."""
+    x = reference_product(freq, t)
+    if reference_exact(x):
+        return all(k == PI_KEY and (v / 2).denominator == 1 for k, v in x.terms.items())
+    u = x.approx / (2 * mp.pi)
+    return abs(u - mp.nint(u)) < tol
