@@ -96,11 +96,6 @@ class C0Function:
     def is_zero(self) -> bool:
         return not self.breakpoints
 
-    def hull(self) -> tuple[Fraction, Fraction] | None:
-        if not self.breakpoints:
-            return None
-        return self.breakpoints[0], self.breakpoints[-1]
-
     def eval_exact(self, x: Fraction) -> ExactComplex:
         bps = self.breakpoints
         if not bps or x <= bps[0] or x >= bps[-1]:
@@ -180,10 +175,6 @@ class ExtendedFunction:
     @staticmethod
     def pure_c0(c0: C0Function, module: FrequencyModule) -> "ExtendedFunction":
         return ExtendedFunction(c0, APFunction.zero(module))
-
-    @staticmethod
-    def pure_ap(ap: APFunction) -> "ExtendedFunction":
-        return ExtendedFunction(C0Function.zero(), ap)
 
     @property
     def module(self) -> FrequencyModule:

@@ -16,10 +16,17 @@ indexed by a precomputed table, and the PSD check is one batched
 draw a fresh support for nearly every measure reuse nothing from it, and
 every entry held costs memory.
 
-``haar`` and ``from_point`` skip the Hermitian and PSD checks: Haar
-blocks are the identity and a Dirac point's blocks are the rank-one
-v v* up to rounding.  ``__init__``, ``mixture`` and the translation
-results keep every check.
+Some measures are PSD by construction and skip the Hermitian and PSD
+checks; ``FSMeasure.psd_by_construction`` records it.  Haar blocks are
+the identity, and a Dirac point's blocks (``from_point``,
+``point_mass_identity``) are the rank-one v v*.  A ``mixture`` whose
+parts all carry the flag carries it too: its weights are checked to be
+finite, real and nonnegative, so each of its Gram blocks is a convex
+combination of the parts' PSD blocks, and its smallest eigenvalue is at
+least the weighted sum of theirs.  "By construction" holds up to the
+rounding of float Dirac phases and of the float combination.
+``__init__``, a mixture with any other part, and the translation and
+projection results keep every check.
 
 Translation by t multiplies mu_hat(lambda) by e^{i*lambda*t}, so a measure
 is invariant under a set of shifts exactly when the shifts kill every
@@ -67,6 +74,8 @@ from .scalars import (
     c_conj,
     c_mul,
     coeff_of,
+    phase_from_turn,
+    quarter_phase,
 )
 
 PSD_TOL = 1e-10
@@ -115,8 +124,23 @@ def check_symmetric_support(freqs) -> tuple[Frequency, ...]:
     return tuple(sorted(fset, key=lambda f: f.coords))
 
 
-def _positive_half(freqs) -> list[Frequency]:
-    return [f for f in freqs if f.coords > tuple(-c for c in f.coords)]
+def _pairs(support: tuple[Frequency, ...]) -> list[tuple[Frequency, Frequency]]:
+    """(f, -f) for each f of the positive half of a sorted symmetric support.
+
+    Negation reverses the coordinate order, so -support[i] is
+    support[n - 1 - i] and the zero sits in the middle."""
+    m = len(support) // 2
+    return list(zip(support[m + 1 :], reversed(support[:m])))
+
+
+def _hermitian_entries(support, values) -> dict[Frequency, Coeff]:
+    """mu_hat(0) = 1, ``values`` on the positive half of a sorted symmetric
+    support (in order) and their conjugates on the negative half."""
+    entries: dict[Frequency, Coeff] = {support[len(support) // 2]: EC_ONE}
+    for (f, g), v in zip(_pairs(support), values):
+        entries[f] = v
+        entries[g] = c_conj(v)
+    return entries
 
 
 # ------------------------------------------------------------------
@@ -231,10 +255,88 @@ def _exact_psd(matrix: list[list[ExactComplex]]) -> bool:
     return True
 
 
+# ------------------------------------------------------------------
+# moments built by construction
+# ------------------------------------------------------------------
+
+
+def _dirac_moments(turns, coords) -> list[Coeff]:
+    """psi(chi_lambda) for each coordinate row, where psi has the given
+    turns: the one-pass form of :meth:`BohrPoint.char_value`.
+
+    A float turn is a dyadic rational, so every turn is an exact fraction
+    over one common denominator, and the rows' turns sum_k c_k * turn_k
+    are one Python-integer product of the coordinate array with the turns'
+    numerators (coordinates have no size limit).  Each turn is rounded to
+    float once.  As in ``char_value``, a row is exact when its nonzero
+    coordinates all meet Fraction turns, and then an ``ExactComplex`` on
+    quarter turns; every other phase comes from ``phase_from_turn``.
+    """
+    ratios = [t.as_integer_ratio() for t in turns]
+    den = math.lcm(*(q for _, q in ratios))
+    nums = np.array([p * (den // q) for p, q in ratios], dtype=object)
+    keys = (np.array(coords, dtype=object).reshape(-1, len(turns)) @ nums) % den
+    floats = [k for k, t in enumerate(turns) if isinstance(t, float)]
+    out: list[Coeff] = []
+    for row, key in zip(coords, keys.tolist()):
+        q, r = divmod(4 * key, den)
+        if r or any(row[k] for k in floats):
+            out.append(phase_from_turn(key / den))
+        else:
+            out.append(quarter_phase(q))
+    return out
+
+
+def _mixture_weight(w) -> Fraction | float:
+    """A mixture weight as a Fraction or a float, checked to be a finite,
+    real, nonnegative number."""
+    if isinstance(w, (int, Fraction)):
+        w = Fraction(w)
+    elif not (isinstance(w, float) and math.isfinite(w)):
+        raise InputError(f"mixture weight {w!r} is not a finite real number")
+    if w < 0:
+        raise InputError(f"mixture weight {w!r} is negative")
+    return w
+
+
+def _mixture_values(weights, measures, support) -> list[Coeff]:
+    """sum_k w_k mu_k(lambda) on the positive half of a shared support.
+
+    An entry is an ``ExactComplex`` exactly where the per-entry
+    ``c_add``/``c_mul`` combination gives one: every term is exact, its
+    factors both exact or one of them an exact zero.  Exact entries are
+    summed in Fractions; the others come from a complex128 accumulator
+    updated part by part, in order.
+    """
+    half = [f for f, _ in _pairs(support)]
+    acc = np.zeros(len(half), dtype=np.complex128)
+    exact = np.ones(len(half), dtype=bool)
+    exact_parts = []
+    for w, mu in zip(weights, measures):
+        vals = [mu.entries[f] for f in half]
+        if isinstance(w, Fraction):
+            if w == 0:
+                continue  # every term is an exact zero
+            exact_terms = [isinstance(v, ExactComplex) for v in vals]
+            exact_parts.append((w, vals))
+        else:
+            exact_terms = [isinstance(v, ExactComplex) and v.is_zero() for v in vals]
+        exact &= np.array(exact_terms, dtype=bool)
+        acc += float(w) * np.array([complex(v) for v in vals], dtype=np.complex128)
+    out = acc.tolist()
+    for i in np.flatnonzero(exact).tolist():
+        re = im = Fraction(0)
+        for w, vals in exact_parts:
+            re += w * vals[i].re
+            im += w * vals[i].im
+        out[i] = ExactComplex(re, im)
+    return out
+
+
 class FSMeasure:
     """Moment data mu_hat on a finite symmetric frequency support."""
 
-    __slots__ = ("module", "entries", "support")
+    __slots__ = ("module", "entries", "support", "_psd_by_construction")
 
     def __init__(self, module: FrequencyModule, entries: dict[Frequency, Coeff]):
         self._build(module, entries, check_symmetric_support(entries.keys()))
@@ -251,12 +353,14 @@ class FSMeasure:
     @classmethod
     def _by_construction(cls, module, entries, support) -> "FSMeasure":
         """Adopt moments that are normalized, Hermitian and positive
-        definite by construction (Haar, a Dirac point) on a checked
-        ``support``: only the frequencies' module is checked."""
+        definite by construction (Haar, a Dirac point, a convex mixture of
+        such measures) on a checked ``support``: only the frequencies'
+        module is checked."""
         for f in support:
             require_same_module(module, f.module)
         mu = cls.__new__(cls)
         mu.module, mu.entries, mu.support = module, entries, support
+        mu._psd_by_construction = True
         return mu
 
     def _build(self, module, entries, support) -> None:
@@ -266,22 +370,30 @@ class FSMeasure:
         if complex(norm) != 1:
             raise InputError("measure is not normalized: mu_hat(0) must equal 1")
         clean: dict[Frequency, Coeff] = {module.zero(): EC_ONE}
-        for f in _positive_half(support):
+        for f, g in _pairs(support):
             v = coeff_of(entries[f])
-            w = coeff_of(entries[-f])
+            w = coeff_of(entries[g])
             if isinstance(v, ExactComplex) and isinstance(w, ExactComplex):
                 if w != v.conj():
                     raise InputError(f"moments not Hermitian at {f.coords}")
             elif abs(complex(w) - complex(v).conjugate()) > HERMITIAN_TOL:
                 raise InputError(f"moments not Hermitian at {f.coords}")
             clean[f] = v
-            clean[-f] = c_conj(v)
+            clean[g] = c_conj(v)
         self.module = module
         self.entries = clean
         self.support = support
+        self._psd_by_construction = False
         defect = self.psd_defect()
         if defect < -PSD_TOL:
             raise InputError(f"moment data is not positive definite (defect {defect:.3e})")
+
+    @property
+    def psd_by_construction(self) -> bool:
+        """Whether the moments are positive definite by construction (Haar,
+        a Dirac point, or a convex mixture of such measures) rather than by
+        the PSD check on this measure's own data."""
+        return self._psd_by_construction
 
     # -- constructors --------------------------------------------------
 
@@ -294,44 +406,51 @@ class FSMeasure:
 
     @staticmethod
     def point_mass_identity(module: FrequencyModule, support) -> "FSMeasure":
-        return FSMeasure(module, {f: EC_ONE for f in support})
+        """The Dirac measure at the identity: every moment, and so every
+        entry of every Gram block, is 1."""
+        support = check_symmetric_support(support)
+        return FSMeasure._by_construction(module, {f: EC_ONE for f in support}, support)
 
     @staticmethod
     def from_point(module: FrequencyModule, support, psi: BohrPoint) -> "FSMeasure":
         """Moments of the Dirac measure at psi: mu_hat(lambda) = psi(chi_lambda).
 
         Every Gram block is the rank-one v v* with v_i = psi(chi_lambda_i),
-        up to rounding of float turns, so no PSD check runs."""
+        up to rounding of float turns, so no PSD check runs.  The moments
+        come from :func:`_dirac_moments` in one pass over the support."""
         support = check_symmetric_support(support)
-        entries: dict[Frequency, Coeff] = {module.zero(): EC_ONE}
-        for f in _positive_half(support):
-            v = psi.char_value(f)
-            entries[f] = v
-            entries[-f] = c_conj(v)
-        return FSMeasure._by_construction(module, entries, support)
+        require_same_module(module, psi.module)
+        values = _dirac_moments(psi.turns, [f.coords for f, _ in _pairs(support)])
+        return FSMeasure._by_construction(module, _hermitian_entries(support, values), support)
 
     @staticmethod
     def mixture(parts) -> "FSMeasure":
-        """Convex combination of measures sharing one support set."""
+        """Convex combination sum_k w_k mu_k of (weight, measure) pairs
+        sharing one support set.
+
+        Each weight must be a finite, nonnegative int, Fraction or float,
+        and the weights must sum to 1.  When every part is positive
+        definite by construction, so is the mixture and no PSD check runs:
+        each clique's Gram block is sum_k w_k G_k with PSD blocks G_k, and
+        its smallest eigenvalue is at least sum_k w_k times the smallest
+        eigenvalue of G_k.  As for ``haar`` and ``from_point``, that holds
+        up to the rounding of float Dirac phases and of the float
+        combination.  A mixture with any other part gets the full check.
+        """
         parts = list(parts)
         if not parts:
             raise InputError("mixture needs at least one component")
-        module = parts[0][1].module
-        support = parts[0][1].support
-        total = sum(Fraction(w) if isinstance(w, (int, Fraction)) else w for w, _ in parts)
-        if abs(float(total) - 1.0) > 1e-12:
+        weights = [_mixture_weight(w) for w, _ in parts]
+        measures = [m for _, m in parts]
+        module, support = measures[0].module, measures[0].support
+        if abs(float(sum(weights)) - 1.0) > 1e-12:
             raise InputError("mixture weights must sum to 1")
-        if any(m.support != support for _, m in parts):
+        if any(m.support != support for m in measures):
             raise InputError("mixture components must share a support set")
-        weighted = [(coeff_of(w), m.entries) for w, m in parts]
-        entries: dict[Frequency, Coeff] = {}
-        for f in support:
-            acc: Coeff = EC_ZERO
-            for w, moments in weighted:
-                acc = c_add(acc, c_mul(w, moments[f]))
-            entries[f] = acc
-        entries[module.zero()] = EC_ONE
-        return FSMeasure(module, entries)
+        entries = _hermitian_entries(support, _mixture_values(weights, measures, support))
+        if all(m.psd_by_construction for m in measures):
+            return FSMeasure._by_construction(module, entries, support)
+        return FSMeasure._from_checked(module, entries, support)
 
     # -- access ----------------------------------------------------------
 
@@ -393,14 +512,12 @@ class FSMeasure:
 
     def pushforward(self, t: RealLike) -> "FSMeasure":
         """Image under translation by iota(t): mu_hat(lambda) *= e^{i*lambda*t}."""
-        half = _positive_half(self.support)
+        half = [f for f, _ in _pairs(self.support)]
         phases = turn_table(self.module, t).phases([f.coords for f in half])
-        entries: dict[Frequency, Coeff] = {self.module.zero(): EC_ONE}
-        for f, p in zip(half, phases):
-            v = c_mul(p, self.entries[f])
-            entries[f] = v
-            entries[-f] = c_conj(v)
-        return FSMeasure._from_checked(self.module, entries, self.support)
+        values = [c_mul(p, self.entries[f]) for f, p in zip(half, phases)]
+        return FSMeasure._from_checked(
+            self.module, _hermitian_entries(self.support, values), self.support
+        )
 
     def is_invariant(self, shifts, tol: float = 1e-12) -> "InvarianceReport":
         """Moment form of translation invariance: |mu_hat(lambda)| *

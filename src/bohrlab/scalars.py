@@ -313,10 +313,6 @@ def c_mul(a: Coeff, b: Coeff) -> Coeff:
     return complex(a) * complex(b)
 
 
-def c_neg(a: Coeff) -> Coeff:
-    return -a if isinstance(a, ExactComplex) else -complex(a)
-
-
 def c_conj(a: Coeff) -> Coeff:
     return a.conj() if isinstance(a, ExactComplex) else complex(a).conjugate()
 
@@ -325,12 +321,6 @@ def c_is_zero(a: Coeff) -> bool:
     if isinstance(a, ExactComplex):
         return a.is_zero()
     return abs(a) < FLOAT_ZERO_TOL
-
-
-def c_eq(a: Coeff, b: Coeff) -> bool:
-    if isinstance(a, ExactComplex) and isinstance(b, ExactComplex):
-        return a == b
-    return complex(a) == complex(b)
 
 
 def quarter_phase(k: int) -> ExactComplex:

@@ -1,10 +1,13 @@
 import math
+import struct
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from bohrlab import (
+    BohrPoint,
     ExactComplex,
     FSMeasure,
     FrequencyModule,
@@ -19,7 +22,12 @@ from bohrlab import (
 )
 from bohrlab.measures import PSD_TOL, SUPPORT_INDEX_SIZE, _maximal_cliques, support_index
 from bohrlab.scalars import EC_ONE, EC_ZERO, c_conj
-from util import random_point, random_psd_measure
+from util import (
+    random_point,
+    random_psd_measure,
+    reference_dirac_moments,
+    reference_mixture,
+)
 
 M = FrequencyModule.integers()
 F3 = box_support(M, 3)
@@ -216,6 +224,225 @@ def test_each_construction_checks_the_support_once(monkeypatch):
         calls.clear()
         build()
         assert len(calls) == 1
+
+    # A mixture adopts the support its parts share.  With every part PSD by
+    # construction it builds no clique index and runs no PSD check; with a
+    # checked part the mixture itself is checked, once.
+    psd = FSMeasure.psd_defect
+    psd_calls = []
+
+    def counting_psd(mu):
+        psd_calls.append(1)
+        return psd(mu)
+
+    haar, dirac = FSMeasure.haar(M, F3), FSMeasure.from_point(M, F3, iota(M, 1))
+    flagged = [haar, FSMeasure.point_mass_identity(M, F3), FSMeasure.mixture([(1, dirac)])]
+    checked = FSMeasure(M, dict(dirac.entries))
+    monkeypatch.setattr(FSMeasure, "psd_defect", counting_psd)
+    for others, psd_checks in (
+        (flagged, 0),
+        ([haar, checked], 1),
+        ([haar, dirac.pushforward(Fraction(1, 3))], 1),
+    ):
+        parts = [(Fraction(1, len(others) + 1), m) for m in (dirac, *others)]
+        info = support_index.cache_info()
+        calls.clear()
+        psd_calls.clear()
+        FSMeasure.mixture(parts)
+        assert len(calls) == 0
+        assert len(psd_calls) == psd_checks
+        if not psd_checks:
+            after = support_index.cache_info()
+            assert (after.hits, after.misses) == (info.hits, info.misses)
+
+
+def test_psd_by_construction_flag(rng):
+    haar = FSMeasure.haar(M, F3)
+    dirac = FSMeasure.from_point(M, F3, random_point(M, rng))
+    checked = FSMeasure(M, dict(dirac.entries))
+    flagged = [
+        haar,
+        dirac,
+        FSMeasure.point_mass_identity(M, F3),
+        FSMeasure.mixture([(Fraction(1, 3), haar), (2 / 3, dirac)]),
+    ]
+    unflagged = [
+        checked,
+        FSMeasure._from_checked(M, dict(haar.entries), haar.support),
+        dirac.pushforward(1),
+        dirac.project_to_invariant([1]),
+        TorusDensity.uniform(M).moments(F3),
+        FSMeasure.mixture([(Fraction(1, 2), haar), (Fraction(1, 2), checked)]),
+        FSMeasure.mixture([(Fraction(1, 2), dirac), (Fraction(1, 2), haar.pushforward(1))]),
+    ]
+    assert all(mu.psd_by_construction for mu in flagged)
+    assert not any(mu.psd_by_construction for mu in unflagged)
+    with pytest.raises(AttributeError):
+        haar.psd_by_construction = False
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((math.nan, 1), "finite real"),
+        ((math.inf, 1), "finite real"),
+        ((-math.inf, 1), "finite real"),
+        ((Fraction(3, 2), Fraction(-1, 2)), "negative"),
+        ((0.5 + 0j, 0.5), "finite real"),
+        ((ExactComplex(Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2)), "finite real"),
+    ],
+    ids=["nan", "inf", "minus_inf", "negative", "complex", "exact_complex"],
+)
+def test_mixture_rejects_bad_weights(weights, message):
+    # the first weight goes to Haar, whose nonzero moments are exact zeros
+    parts = zip(weights, (FSMeasure.haar(M, F3), FSMeasure.from_point(M, F3, iota(M, 1))))
+    with pytest.raises(InputError, match=message):
+        FSMeasure.mixture(parts)
+
+
+def _random_support(module, rng, radius, size):
+    draws = rng.integers(-radius, radius + 1, (size, module.dim))
+    coords = {tuple(int(c) for c in row) for row in draws}
+    coords |= {tuple(-c for c in x) for x in coords} | {(0,) * module.dim}
+    return tuple(module.frequency(*c) for c in sorted(coords))
+
+
+_MODULES = (M, FrequencyModule.make(1, "sqrt2"), FrequencyModule.make(1, "sqrt2", "sqrt3"))
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _assert_matches(entries, ref, tol):
+    """Same keys, the same type per entry, exact entries equal, float
+    entries within ``tol``."""
+    assert entries.keys() == ref.keys()
+    for f, r in ref.items():
+        v = entries[f]
+        assert type(v) is type(r), f.coords
+        if isinstance(r, ExactComplex):
+            assert v == r, f.coords
+        else:
+            assert abs(v - r) <= tol, f.coords
+
+
+def _assert_conjugate_halves(mu):
+    for f in mu.support:
+        v, w = mu.entries[f], mu.entries[-f]
+        if isinstance(v, ExactComplex):
+            assert w == v.conj()
+        else:
+            assert _bits(w) == _bits(v.conjugate())
+
+
+def test_dirac_moments_match_per_entry_build(rng):
+    # The oracle rounds each product c_k * turn_k and each partial sum, at
+    # magnitudes below 101 here, so it can be off the exact phase by up to
+    # 2*pi * 2d * 2**-47 (2.7e-13 at d=3).  from_point rounds the exact
+    # turn once: within 1e-15 of the phase of the exact turn.
+    for module in _MODULES:
+        tol = 2 * math.pi * 2 * module.dim * 2.0**-47 + 1e-15
+        for exact_prob in (1.0, 0.0, 0.5):
+            for _ in range(20):
+                support = _random_support(module, rng, 100, 12)
+                psi = random_point(module, rng, exact_prob)
+                mu = FSMeasure.from_point(module, support, psi)
+                _assert_matches(mu.entries, reference_dirac_moments(support, psi), tol)
+                _assert_conjugate_halves(mu)
+                for f, v in mu.entries.items():
+                    if not isinstance(v, ExactComplex):
+                        x = sum(Fraction(t) * c for t, c in zip(psi.turns, f.coords)) % 1
+                        exact = complex(mp.expjpi(2 * mp.mpf(x.numerator) / x.denominator))
+                        assert abs(v - exact) < 1e-15
+
+
+def test_dirac_moments_exact_at_any_coordinate_size():
+    big = 10**30 + 1
+    support = (M.frequency(-big), M.frequency(-1), M.zero(), M.frequency(1), M.frequency(big))
+    for turn in (Fraction(1, 4), Fraction(1, 3), Fraction(7, 10**40), 0.25, 0.0):
+        psi = BohrPoint(M, [turn])
+        mu = FSMeasure.from_point(M, support, psi)
+        ref = reference_dirac_moments(support, psi)
+        if isinstance(turn, float):
+            # float turns give float phases, even on quarter turns
+            moments = [mu.entries[f] for f in support if not f.is_zero()]
+            assert not any(isinstance(v, ExactComplex) for v in moments)
+            assert mu.entries[M.frequency(1)] == ref[M.frequency(1)]
+        else:
+            # exact turns: the oracle's Fraction arithmetic, bit for bit
+            assert [type(mu.entries[f]) for f in support] == [type(ref[f]) for f in support]
+            assert all(mu.entries[f] == ref[f] for f in support)
+    quarter = FSMeasure.from_point(M, support, BohrPoint(M, [Fraction(1, 4)]))
+    assert quarter.entries[M.frequency(big)] == ExactComplex(Fraction(0), Fraction(1))
+
+
+def _random_weights(rng, n):
+    raw = [int(w) for w in rng.integers(0, 6, n)]
+    raw[int(rng.integers(0, n))] += 1  # at least one nonzero weight
+    kind = rng.choice(["fraction", "float", "mixed"])
+    weights = [Fraction(w, sum(raw)) for w in raw]
+    if kind == "float":
+        weights = [float(w) for w in weights]
+    elif kind == "mixed":
+        weights = [float(w) if rng.random() < 0.5 else w for w in weights]
+    return weights
+
+
+def test_mixture_matches_per_entry_build(rng):
+    seen = {"float": 0, "exact": 0, "exact under a float weight": 0}
+    for module in _MODULES:
+        for _ in range(15):
+            support = _random_support(module, rng, 3, 6)
+            pool = [FSMeasure.haar(module, support), FSMeasure.point_mass_identity(module, support)]
+            pool += [
+                FSMeasure.from_point(module, support, random_point(module, rng, p))
+                for p in (1.0, 1.0, 0.0, 0.5, 0.5)
+            ]
+            inner = None
+            for _ in range(2):  # the second mixture contains the first
+                k = int(rng.integers(1, 5))
+                members = [pool[int(i)] for i in rng.choice(len(pool), size=k, replace=False)]
+                if inner is not None:
+                    members[0] = inner
+                parts = list(zip(_random_weights(rng, k), members))
+                inner = mu = FSMeasure.mixture(parts)
+                assert mu.psd_by_construction
+                assert mu.psd_defect() >= -PSD_TOL
+                _assert_conjugate_halves(mu)
+                _assert_matches(mu.entries, reference_mixture(parts).entries, 1e-15)
+                float_weight = any(isinstance(w, float) for w, _ in parts)
+                for f, v in mu.entries.items():
+                    if f.is_zero():
+                        continue
+                    if not isinstance(v, ExactComplex):
+                        seen["float"] += 1
+                    elif float_weight:
+                        seen["exact under a float weight"] += 1
+                    else:
+                        seen["exact"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_mixture_on_the_zero_only_support():
+    support = [M.zero()]
+    dirac = FSMeasure.from_point(M, support, BohrPoint(M, [0.3]))
+    mu = FSMeasure.mixture([(0.5, FSMeasure.haar(M, support)), (Fraction(1, 2), dirac)])
+    assert mu.entries == {M.zero(): EC_ONE} and mu.psd_by_construction
+
+
+def test_checked_mixture_matches_per_entry_build(rng):
+    support = _random_support(FrequencyModule.make(1, "sqrt2"), rng, 3, 6)
+    module = support[0].module
+    dirac = FSMeasure.from_point(module, support, random_point(module, rng, 0.5))
+    parts = [
+        (Fraction(1, 4), FSMeasure.haar(module, support)),
+        (0.75, dirac.pushforward(Fraction(1, 7))),
+    ]
+    mu = FSMeasure.mixture(parts)
+    assert not mu.psd_by_construction
+    _assert_matches(mu.entries, reference_mixture(parts).entries, 1e-15)
+    _assert_conjugate_halves(mu)
 
 
 def test_haar_and_point_moments_are_positive_definite_by_construction(rng):

@@ -15,11 +15,17 @@ from bohrlab import (
     RPart,
 )
 from bohrlab.scalars import (
+    EC_ONE,
+    EC_ZERO,
     PI_KEY,
     RATIONAL_KEY,
     PiTimes,
     SymbolicReal,
     as_fraction,
+    c_add,
+    c_conj,
+    c_mul,
+    coeff_of,
     phase_from_turn,
     symbol_kind,
 )
@@ -208,3 +214,39 @@ def reference_in_two_pi_z(freq, t, tol=1e-12):
         return all(k == PI_KEY and (v / 2).denominator == 1 for k, v in x.terms.items())
     u = x.approx / (2 * mp.pi)
     return abs(u - mp.nint(u)) < tol
+
+
+# ------------------------------------------------------------------
+# per-entry moment builds: how FSMeasure.mixture and from_point computed
+# every moment before their one-pass forms
+# ------------------------------------------------------------------
+
+
+def reference_mixture(parts):
+    """sum_k w_k mu_k entry by entry through c_mul/c_add, with each weight
+    taken as a coefficient, then the fully checked constructor."""
+    parts = list(parts)
+    module, support = parts[0][1].module, parts[0][1].support
+    weighted = [(coeff_of(w), m.entries) for w, m in parts]
+    entries = {}
+    for f in support:
+        acc = EC_ZERO
+        for w, moments in weighted:
+            acc = c_add(acc, c_mul(w, moments[f]))
+        entries[f] = acc
+    entries[module.zero()] = EC_ONE
+    return FSMeasure(module, entries)
+
+
+def reference_dirac_moments(support, psi):
+    """The Dirac moments at psi: BohrPoint.char_value on each frequency of
+    the positive half, its conjugate on the negative half, 1 at zero."""
+    entries = {}
+    for f in support:
+        if f.is_zero():
+            entries[f] = EC_ONE
+        elif f.coords > tuple(-c for c in f.coords):
+            v = psi.char_value(f)
+            entries[f] = v
+            entries[-f] = c_conj(v)
+    return entries
