@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .errors import InputError
 from .frequencies import (
     Frequency,
@@ -154,7 +153,7 @@ class APFunction:
         if not self.coeffs:
             return np.zeros(len(ts), dtype=np.complex128)
         vals, cs = self._term_arrays()
-        return kernels.trig_eval_grid(vals, cs, np.asarray(ts, dtype=np.float64))
+        return np.exp(1j * np.outer(np.asarray(ts, dtype=np.float64), vals)) @ cs
 
     def sup_norm_bound(self) -> float:
         """sum |c_lambda|, an upper bound for sup_t |f(t)|."""

@@ -54,7 +54,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
 from .bohr import BohrPoint
 from .errors import InputError
 from .frequencies import (
@@ -704,12 +703,12 @@ class TorusDensity:
         if self.module.dim == 1:
             th = np.linspace(0.0, 2.0 * math.pi, self.GRID_POINTS, endpoint=False)
             m = np.array([n[0] for n in ns], dtype=np.float64)
-            return kernels.trig_eval_grid(m, cs, th)
+            return np.exp(1j * np.outer(th, m)) @ cs
         side = max(int(math.isqrt(self.GRID_POINTS)), 2)
         th = np.linspace(0.0, 2.0 * math.pi, side, endpoint=False)
         m1 = np.array([n[0] for n in ns], dtype=np.float64)
         m2 = np.array([n[1] for n in ns], dtype=np.float64)
-        return kernels.torus_eval_grid_2d(m1, m2, cs, th, th)
+        return (np.exp(1j * np.outer(th, m1)) * cs) @ np.exp(1j * np.outer(m2, th))
 
     def min_on_grid(self) -> float:
         return float(np.min(self.eval_grid().real))

@@ -406,6 +406,8 @@ def real_from_json(x) -> Fraction | float:
         raise InputError(f"expected a number or rational string, got {x!r}")
     if isinstance(x, int):
         return Fraction(x)
+    if not math.isfinite(x):
+        raise InputError(f"expected a finite number, got {x!r}")
     return float(x)
 
 

@@ -1,11 +1,15 @@
+import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from bohrlab import FrequencyModule, Generator, InputError
-from bohrlab.frequencies import chord_of, in_two_pi_z, turn_of
+from bohrlab.frequencies import RELATION_BOUND, RELATION_TOL, chord_of, in_two_pi_z, turn_of
 from bohrlab.scalars import PiTimes
+from util import brute_relation
 
 
 def test_coordinatewise_addition():
@@ -139,6 +143,106 @@ def test_relation_scan_finds_small_relations():
 def test_big_module_budget_guard():
     with pytest.raises(InputError, match="budget"):
         FrequencyModule.make(*[("pi", Fraction(1, k)) for k in range(1, 8)])
+
+
+def test_five_generator_module_builds_in_under_a_second():
+    start = time.perf_counter()
+    FrequencyModule.make(1, "sqrt2", "sqrt3", "pi", "e")
+    assert time.perf_counter() - start < 1.0
+
+
+def _float_generator(x: float) -> Generator:
+    return Generator(None, repr(float(x)), 1)
+
+
+def _oracle_message(gens) -> str | None:
+    """The refusal the full scan gives: its first hit over its gcd."""
+    rel = brute_relation(np.array([g.value for g in gens]), RELATION_BOUND, RELATION_TOL)
+    if not rel.any():
+        return None
+    rel = rel // math.gcd(*rel.tolist())
+    combo = " + ".join(f"{int(c)}*g{k+1}" for k, c in enumerate(rel) if c != 0)
+    return f"generators are rationally dependent: {combo} = 0 within {RELATION_TOL}"
+
+
+def _refusal(gens) -> str | None:
+    try:
+        FrequencyModule.make(*gens)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def _random_relation_sets(rng, n=300):
+    """Random d=1..3 float sets; every other one (d >= 2) with a planted
+    relation whose coefficients lie within the bound."""
+    sets = []
+    while len(sets) < n:
+        planted = len(sets) % 2 == 1
+        d = int(rng.integers(2 if planted else 1, 4))
+        v = rng.uniform(0.5, 3.0, d) * rng.choice([-1.0, 1.0], d)
+        if planted:
+            c = rng.integers(-RELATION_BOUND, RELATION_BOUND + 1, d)
+            k = int(rng.integers(d))
+            if c[k] == 0 or np.count_nonzero(c) < 2:
+                continue
+            v[k] = -(c @ v - c[k] * v[k]) / c[k]
+            if abs(v[k]) < 1e-3:
+                continue
+        sets.append([_float_generator(x) for x in v])
+    return sets
+
+
+def test_relation_check_refuses_exactly_what_the_full_scan_refuses(rng):
+    sets = _random_relation_sets(rng)
+    refused = 0
+    for gens in sets:
+        expected = _oracle_message(gens)
+        assert _refusal(gens) == expected, [g.value for g in gens]
+        refused += expected is not None
+    assert refused >= len(sets) // 2
+
+
+ADVERSARIAL_SETS = {
+    "coefficient_at_bound": [1, Fraction(20, 19)],
+    "coefficient_past_bound": [1, Fraction(21, 19)],
+    "near_relation": [Generator.rational(1), Generator(None, "1.0000000001", 1)],
+    "second_half_only": ["sqrt2", 1, Fraction(1, 2)],
+    "first_half_only": [1, Fraction(1, 2), "sqrt2", "sqrt3"],
+    "opaque_pair": ["e", ("e", Fraction(2, 3))],
+    "opaque_in_second_half": ["sqrt2", "e", ("e", Fraction(-5, 7))],
+    "opaque_independent": [1, "e", ("pi", Fraction(1, 2))],
+    "d4_independent": [1, "sqrt2", "sqrt3", "pi"],
+}
+ACCEPTED_SETS = ("coefficient_past_bound", "opaque_independent", "d4_independent")
+
+
+def _generators(specs) -> list[Generator]:
+    out = []
+    for s in specs:
+        if isinstance(s, Generator):
+            out.append(s)
+        elif isinstance(s, str):
+            out.append(Generator.named(s))
+        elif isinstance(s, tuple):
+            out.append(Generator.named(*s))
+        else:
+            out.append(Generator.rational(s))
+    return out
+
+
+@pytest.mark.parametrize("name", list(ADVERSARIAL_SETS))
+def test_relation_check_matches_the_full_scan_on_adversarial_sets(name):
+    gens = _generators(ADVERSARIAL_SETS[name])
+    expected = _oracle_message(gens)
+    assert (expected is None) == (name in ACCEPTED_SETS)
+    assert _refusal(gens) == expected
+
+
+def test_relation_message_is_the_primitive_relation():
+    assert _refusal(_generators([1, Fraction(1, 2)])) == (
+        "generators are rationally dependent: 1*g1 + -2*g2 = 0 within 1e-09"
+    )
 
 
 def test_module_hash_agrees_with_equality():

@@ -379,6 +379,21 @@ def test_cli_non_finite_or_non_positive_flags_exit_2(argv):
     assert "error" in _strict_json(proc.stdout)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "1e999"], ids=["nan", "inf"])
+def test_cli_non_finite_json_moments_exit_2(tmp_path, literal):
+    measure = {
+        "module": {"generators": [{"symbol": None, "decimal": "1", "rational_scale": [1, 1]}]},
+        "entries": [
+            {"coords": [k], "re": "1" if k == 0 else "@", "im": "0"} for k in range(-1, 2)
+        ],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(measure).replace('"@"', literal))
+    proc = run_cli("check-measure", str(path), "--shifts", "1")
+    assert proc.returncode == 2, proc.stdout
+    assert "finite" in _strict_json(proc.stdout)["error"]
+
+
 @pytest.mark.parametrize(
     "value, message",
     [("10", "at least 15"), ("fifty", "must be an integer")],

@@ -110,6 +110,31 @@ def quad_mean(f, T, n=200_001):
     return complex(np.trapezoid(ys, ts) / (2.0 * T))
 
 
+def brute_relation(values, bound, tol, chunk=1 << 20):
+    """Plain scan oracle for the integer-relation check: the first nonzero
+    integer vector n with |n_i| <= bound and |sum n_i v_i| < tol in
+    mixed-radix order (first coordinate fastest), or all zeros."""
+    d = values.size
+    width = 2 * bound + 1
+    total = width**d
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        rem = idx.copy()
+        dot = np.zeros(idx.size)
+        nonzero = np.zeros(idx.size, dtype=bool)
+        coords = np.empty((idx.size, d), np.int64)
+        for j in range(d):
+            c = rem % width - bound
+            rem //= width
+            coords[:, j] = c
+            nonzero |= c != 0
+            dot += c * values[j]
+        hits = np.nonzero(nonzero & (np.abs(dot) < tol))[0]
+        if hits.size:
+            return coords[hits[0]].copy()
+    return np.zeros(d, np.int64)
+
+
 def brute_kronecker(gen_values, target_angles, eps, t_lo, t_hi, step, chunk=1 << 16):
     """Plain scan oracle for the simultaneous approximation problem: the
     first grid point t_lo + j*step <= t_hi whose worst chord distance
