@@ -50,7 +50,7 @@ from .scalars import (
 
 RELATION_BOUND = 20
 RELATION_TOL = 1e-9
-MAX_GENERATORS = 5  # the relation check's budget: 41^5 <= 3e8 < 41^6 vectors
+MAX_GENERATORS = 5  # from d = 6 on, the fixed window admits spurious near-relations
 
 
 @dataclass(frozen=True)
@@ -132,32 +132,48 @@ def _half_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coefs, coefs @ values
 
 
+def _scan_dots(coefs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """n . values for each row n, summed left to right as the full scan of
+    the relation check sums them, so the tolerance test rounds alike."""
+    dots = np.zeros(coefs.shape[0])
+    for k in range(values.size):
+        dots += coefs[:, k] * values[k]
+    return dots
+
+
 def _integer_relation(values: np.ndarray) -> np.ndarray | None:
     """A nonzero integer vector n with |n_i| <= RELATION_BOUND and
     |n . values| < RELATION_TOL, or None when there is none.
 
     Meet in the middle (Horowitz and Sahni, J. ACM 21, 1974): n splits into
-    a first-half vector a and a second-half vector b, and for each
-    first-half sum s the sorted second-half sums in the open window
-    (-s - tol, -s + tol) are counted with two binary searches, less the
-    trivial pair a = b = 0.
+    a first-half vector a and a second-half vector b.  For each first-half
+    sum s, two binary searches find the sorted second-half sums in the
+    closed window [-s - tol - pad, -s + tol + pad], where pad bounds the
+    rounding of the half sums and of the window's own ends; the trivial
+    pair a = b = 0 is left out.  Each candidate is then kept only if its
+    full dot product, summed as the scan sums it, is below tol.
     """
-    h = values.size // 2
+    d = values.size
+    h = d // 2
     c1, s1 = _half_sums(values[:h])
     c2, s2 = _half_sums(values[h:])
     order = np.argsort(s2)
     s2 = s2[order]
-    lo = np.searchsorted(s2, -s1 - RELATION_TOL, side="right")
-    hi = np.searchsorted(s2, -s1 + RELATION_TOL, side="left")
+    pad = 4 * d * np.spacing(RELATION_BOUND * np.abs(values).sum())
+    lo = np.searchsorted(s2, -s1 - (RELATION_TOL + pad), side="left")
+    hi = np.searchsorted(s2, -s1 + (RELATION_TOL + pad), side="right")
     counts = hi - lo
     zero = s1.size // 2
     counts[zero] -= 1
-    hits = np.flatnonzero(counts > 0)
-    if not hits.size:
-        return None
-    i = hits[0]
-    j = next(j for j in order[lo[i] : hi[i]] if i != zero or c2[j].any())
-    return np.concatenate([c1[i], c2[j]])
+    for i in np.flatnonzero(counts > 0):
+        js = order[lo[i] : hi[i]]
+        if i == zero:
+            js = js[c2[js].any(axis=1)]
+        cand = np.hstack([np.broadcast_to(c1[i], (js.size, h)), c2[js]])
+        hits = np.flatnonzero(np.abs(_scan_dots(cand, values)) < RELATION_TOL)
+        if hits.size:
+            return cand[hits[0]]
+    return None
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,38 @@ def test_relation_check_refuses_exactly_what_the_full_scan_refuses(rng):
     assert refused >= len(sets) // 2
 
 
+def _large_relation_sets(rng, n=120):
+    """Random d=1..3 sets of magnitude 1e6..1e10, where one float64 step
+    of a coefficient sum can exceed the tolerance: integers with one
+    planted exact relation between two entries (every other set, d >= 2),
+    random integers and random floats."""
+    sets = []
+    while len(sets) < n:
+        d = int(rng.integers(1, 4))
+        kind = len(sets) % 4
+        if kind % 2 == 1 and d >= 2:
+            base = int(rng.integers(10**6, 10**9))
+            v = [base * int(m) for m in rng.integers(1, RELATION_BOUND + 1, 2)]
+            v += [int(x) for x in rng.integers(10**6, 10**10, d - 2)]
+        elif kind == 0:
+            v = [int(x) for x in rng.integers(10**6, 10**10, d)]
+        else:
+            v = list(rng.uniform(1e6, 1e10, d))
+        signs = rng.choice([-1, 1], d)
+        sets.append([_float_generator(float(s * x)) for s, x in zip(signs, v)])
+    return sets
+
+
+def test_relation_check_matches_the_full_scan_at_large_magnitudes(rng):
+    sets = _large_relation_sets(rng)
+    refused = 0
+    for gens in sets:
+        expected = _oracle_message(gens)
+        assert _refusal(gens) == expected, [g.value for g in gens]
+        refused += expected is not None
+    assert refused >= len(sets) // 5
+
+
 ADVERSARIAL_SETS = {
     "coefficient_at_bound": [1, Fraction(20, 19)],
     "coefficient_past_bound": [1, Fraction(21, 19)],
@@ -213,8 +245,20 @@ ADVERSARIAL_SETS = {
     "opaque_in_second_half": ["sqrt2", "e", ("e", Fraction(-5, 7))],
     "opaque_independent": [1, "e", ("pi", Fraction(1, 2))],
     "d4_independent": [1, "sqrt2", "sqrt3", "pi"],
+    # float64 steps near the sums exceed the tolerance from 2^24 on
+    "large_dependent_pair": [10**7, 3 * 10**7],
+    "huge_dependent_pair": [10**8, 2 * 10**8],
+    "large_independent_pair": [10**7, ("sqrt2", 10**7)],
+    "one_step_past_2_23": [2**23, _float_generator(2**23 + 2**-29)],
+    "huge_dependent_d3": [10**9, 3 * 10**9, "sqrt2"],
 }
-ACCEPTED_SETS = ("coefficient_past_bound", "opaque_independent", "d4_independent")
+ACCEPTED_SETS = (
+    "coefficient_past_bound",
+    "opaque_independent",
+    "d4_independent",
+    "large_independent_pair",
+    "one_step_past_2_23",
+)
 
 
 def _generators(specs) -> list[Generator]:
