@@ -40,7 +40,7 @@ def _basis_positions(mu: FSMeasure, basis: tuple[Frequency, ...]) -> np.ndarray:
         raise InputError("basis must be nonempty")
     for f in basis:
         require_same_module(mu.module, f.module)
-    where = {f.coords: k for k, f in enumerate(mu.support)}
+    where = mu.support.position
     diffs = [tuple(x - y for x, y in zip(a.coords, b.coords)) for a in basis for b in basis]
     missing = sorted({c for c in diffs if c not in where})
     if missing:
@@ -92,7 +92,7 @@ def unitarity_check(mu: FSMeasure, basis, t: RealLike, tol: float = 1e-12) -> Un
     # The basis Gram matrix is a principal submatrix of a clique block the
     # measure's construction already checked, so membership is all to check.
     pos = _basis_positions(mu, basis).reshape(-1)
-    chords = turn_table(mu.module, t).chords([f.coords for f in mu.support])
+    chords = turn_table(mu.module, t).chords(mu.support.rows)
     v = np.fmax(mu._moment_sizes() * chords, 0.0)[pos]  # fmax drops NaN products
     i = int(np.argmax(v))
     worst = float(v[i])

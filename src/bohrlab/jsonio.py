@@ -129,8 +129,8 @@ def bohr_point_from_json(obj) -> BohrPoint:
 
 def fsmeasure_to_json(mu: FSMeasure) -> dict:
     entries = []
-    for freq in mu.support:
-        re, im = coeff_to_json_pair(mu.entries[freq])
+    for freq, value in mu.entries.items():
+        re, im = coeff_to_json_pair(value)
         entries.append({"coords": list(freq.coords), "re": re, "im": im})
     return {"module": module_to_json(mu.module), "entries": entries}
 
@@ -141,6 +141,8 @@ def fsmeasure_from_json(obj) -> FSMeasure:
     for item in _need(obj, "entries", "measure"):
         coords = _need(item, "coords", "entry")
         freq = module.frequency(*[int(c) for c in coords])
+        if freq in entries:
+            raise InputError(f"measure: coordinates {list(freq.coords)} appear twice")
         entries[freq] = coeff_from_json_parts(
             _need(item, "re", "entry"), _need(item, "im", "entry")
         )

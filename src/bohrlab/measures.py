@@ -6,6 +6,24 @@ character moments mu_hat(lambda).  The data must be normalized
 (mu_hat(0) = 1), Hermitian, and positive definite: every Gram-type matrix
 [mu_hat(lambda_i - lambda_j)] with the differences inside F is PSD.
 
+A support is checked once.  ``check_symmetric_support`` returns a
+:class:`Support`: the frequencies sorted by coordinates, with their
+module, their coordinate rows and a coordinate-to-position map.  Sorted,
+a symmetric set's rows read backwards are its negated rows, so the zero
+sits in the middle and position n - 1 - i holds -support[i]; the check
+compares coordinate tuples only.  A ``Support`` passed back in is
+returned as it is, and ``box_support`` and ``cross_support`` build one.
+
+An ``FSMeasure`` keeps its moments in one complex128 vector in support
+order, plus an exact sidecar for the positive half: the ``ExactComplex``
+value of each entry that is exact, else None.  The negative half is the
+conjugate of the positive half, and mu_hat(0) is an exact 1.  An entry is
+exact exactly where every term that made it is exact; a float entry in
+the vector is the value itself, an exact one is ``complex(v)``, so the
+vector and the sidecar agree bit for bit with the per-entry values.
+``entries`` is the read-only Frequency-to-moment mapping, built on first
+access.
+
 Every ``FSMeasure`` is checked for that on construction.  The maximal
 difference cliques of F, and the support position of each pairwise
 difference within them, depend only on F, so ``support_index`` builds
@@ -35,7 +53,7 @@ forces each moment to vanish; when every nonzero frequency is killed the
 only surviving moment data is the Haar measure's.  Pushforwards,
 invariance reports, projections and verdicts take every phase of a
 shift from one :class:`bohrlab.frequencies.TurnTable` pass over the
-support's coordinates: exact from integer keys for rational, pi and
+support's coordinate rows: exact from integer keys for rational, pi and
 square-root products, numeric against ``tol`` from fixed-point turns
 when an opaque symbol is involved.
 
@@ -47,10 +65,13 @@ the same pushforward arithmetic.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -80,6 +101,7 @@ from .scalars import (
 PSD_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 SUPPORT_INDEX_SIZE = 16  # supports whose clique index is kept; see support_index
+MAX_BOX_SUPPORT = 2**20  # frequencies a box_support may hold
 _COORD_LIMIT = 2**62  # |coord| below this keeps pairwise differences in int64
 
 
@@ -88,58 +110,100 @@ _COORD_LIMIT = 2**62  # |coord| below this keeps pairwise differences in int64
 # ------------------------------------------------------------------
 
 
-def box_support(module: FrequencyModule, radius: int) -> tuple[Frequency, ...]:
-    """All frequencies with coordinates in [-radius, radius]^d, sorted."""
+class Support(tuple):
+    """A checked support: frequencies of one module, sorted by coordinates
+    and closed under negation, so the zero sits in the middle and
+    ``support[n - 1 - i]`` is ``-support[i]``.
+
+    It equals and hashes like the plain tuple of its frequencies.
+    ``module`` is their module, ``rows`` their coordinate tuples in order
+    and ``position`` maps a coordinate tuple to its index.  Made by
+    :func:`check_symmetric_support`, :func:`box_support` and
+    :func:`cross_support`.
+    """
+
+    def __new__(cls, module: FrequencyModule, freqs, rows: tuple[tuple[int, ...], ...]):
+        self = super().__new__(cls, freqs)
+        self.module = module
+        self.rows = rows
+        return self
+
+    @cached_property
+    def position(self) -> dict[tuple[int, ...], int]:
+        return {r: i for i, r in enumerate(self.rows)}
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        # kept: the clique-index cache hashes its support on every lookup
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than restore: string hashes differ between processes
+        return (check_symmetric_support, (tuple(self),))
+
+
+def _support(module: FrequencyModule, freqs, rows) -> Support:
+    """A :class:`Support` of ``freqs`` sorted by their coordinate ``rows``,
+    once the rows read backwards are the negated rows."""
+    neg = [tuple(map(operator.neg, r)) for r in rows]
+    if neg[::-1] != rows:
+        missing = min(set(neg).difference(rows))
+        raise InputError(f"support set is not symmetric: missing {missing}")
+    return Support(module, freqs, tuple(rows))
+
+
+def box_support(module: FrequencyModule, radius: int) -> Support:
+    """All frequencies with coordinates in [-radius, radius]^d, sorted.
+
+    A box holds (2*radius + 1)^d frequencies; one of more than
+    ``MAX_BOX_SUPPORT`` is refused before any is built."""
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    coords = [()]
-    for _ in range(module.dim):
-        coords = [c + (k,) for c in coords for k in range(-radius, radius + 1)]
-    return tuple(module.frequency(*c) for c in sorted(coords))
+    if (2 * radius + 1) ** module.dim > MAX_BOX_SUPPORT:
+        raise InputError(
+            f"a box of radius {radius} over {module.dim} generators exceeds the "
+            f"limit of {MAX_BOX_SUPPORT} frequencies"
+        )
+    rows = list(itertools.product(range(-radius, radius + 1), repeat=module.dim))
+    return _support(module, [Frequency(module, r) for r in rows], rows)
 
 
-def cross_support(module: FrequencyModule, radius: int = 1) -> tuple[Frequency, ...]:
+def cross_support(module: FrequencyModule, radius: int = 1) -> Support:
     """Zero plus +-k times each single generator, k <= radius."""
-    out = {module.zero()}
-    for j in range(module.dim):
+    d = module.dim
+    rows = {(0,) * d}
+    for j in range(d):
         for k in range(1, radius + 1):
-            u = module.unit(j)
-            f = module.frequency(*(k * c for c in u.coords))
-            out.add(f)
-            out.add(-f)
-    return tuple(sorted(out, key=lambda f: f.coords))
+            for c in (k, -k):
+                rows.add(tuple(c if i == j else 0 for i in range(d)))
+    rows = sorted(rows)
+    return _support(module, [Frequency(module, r) for r in rows], rows)
 
 
-def check_symmetric_support(freqs) -> tuple[Frequency, ...]:
-    fset = set(freqs)
-    if not fset:
+def check_symmetric_support(freqs) -> Support:
+    """The frequencies as a :class:`Support`; a ``Support`` is returned as
+    it is.  Repeats collapse.  The set must be nonempty, share one module,
+    hold the zero and be closed under negation; a missing negation is
+    reported as the first missing coordinate tuple in sorted order."""
+    if isinstance(freqs, Support):
+        return freqs
+    by_row: dict[tuple[int, ...], Frequency] = {}
+    module = None
+    for f in freqs:
+        if module is None:
+            module = f.module
+        elif f.module is not module:
+            require_same_module(module, f.module)
+        by_row[f.coords] = f
+    if module is None:
         raise InputError("support set is empty")
-    zero = next(iter(fset)).module.zero()
-    if zero not in fset:
+    if (0,) * module.dim not in by_row:
         raise InputError("support set must contain the zero frequency")
-    for f in fset:
-        if -f not in fset:
-            raise InputError(f"support set is not symmetric: missing {(-f).coords}")
-    return tuple(sorted(fset, key=lambda f: f.coords))
-
-
-def _pairs(support: tuple[Frequency, ...]) -> list[tuple[Frequency, Frequency]]:
-    """(f, -f) for each f of the positive half of a sorted symmetric support.
-
-    Negation reverses the coordinate order, so -support[i] is
-    support[n - 1 - i] and the zero sits in the middle."""
-    m = len(support) // 2
-    return list(zip(support[m + 1 :], reversed(support[:m])))
-
-
-def _hermitian_entries(support, values) -> dict[Frequency, Coeff]:
-    """mu_hat(0) = 1, ``values`` on the positive half of a sorted symmetric
-    support (in order) and their conjugates on the negative half."""
-    entries: dict[Frequency, Coeff] = {support[len(support) // 2]: EC_ONE}
-    for (f, g), v in zip(_pairs(support), values):
-        entries[f] = v
-        entries[g] = c_conj(v)
-    return entries
+    rows = sorted(by_row)
+    return _support(module, [by_row[r] for r in rows], rows)
 
 
 # ------------------------------------------------------------------
@@ -255,13 +319,31 @@ def _exact_psd(matrix: list[list[ExactComplex]]) -> bool:
 
 
 # ------------------------------------------------------------------
-# moments built by construction
+# the moment vector
 # ------------------------------------------------------------------
 
 
-def _dirac_moments(turns, coords) -> list[Coeff]:
+def _vector(half: np.ndarray, exact: list) -> np.ndarray:
+    """The read-only moment vector in support order from its positive
+    half: the conjugates reversed, then mu_hat(0) = 1, then ``half``.
+
+    A float conjugate negates the imaginary part, -0.0 included; the
+    conjugate of a real exact entry is ``complex(v.conj())``, whose
+    imaginary part is +0.0."""
+    m = half.size
+    vec = np.empty(2 * m + 1, dtype=np.complex128)
+    vec[:m] = half[::-1].conj()
+    vec[m] = 1.0
+    vec[m + 1 :] = half
+    vec.imag[[m - 1 - k for k, e in enumerate(exact) if e is not None and not e.im]] = 0.0
+    vec.setflags(write=False)
+    return vec
+
+
+def _dirac_moments(turns, coords) -> tuple[np.ndarray, list]:
     """psi(chi_lambda) for each coordinate row, where psi has the given
-    turns: the one-pass form of :meth:`BohrPoint.char_value`.
+    turns, as a vector and its exact sidecar: the one-pass form of
+    :meth:`BohrPoint.char_value`.
 
     A float turn is a dyadic rational, so every turn is an exact fraction
     over one common denominator, and the rows' turns sum_k c_k * turn_k
@@ -276,14 +358,18 @@ def _dirac_moments(turns, coords) -> list[Coeff]:
     nums = np.array([p * (den // q) for p, q in ratios], dtype=object)
     keys = (np.array(coords, dtype=object).reshape(-1, len(turns)) @ nums) % den
     floats = [k for k, t in enumerate(turns) if isinstance(t, float)]
-    out: list[Coeff] = []
+    values: list[complex] = []
+    exact: list[ExactComplex | None] = []
     for row, key in zip(coords, keys.tolist()):
         q, r = divmod(4 * key, den)
         if r or any(row[k] for k in floats):
-            out.append(phase_from_turn(key / den))
+            values.append(phase_from_turn(key / den))
+            exact.append(None)
         else:
-            out.append(quarter_phase(q))
-    return out
+            e = quarter_phase(q)
+            values.append(complex(e))
+            exact.append(e)
+    return np.array(values, dtype=np.complex128), exact
 
 
 def _mixture_weight(w) -> Fraction | float:
@@ -298,91 +384,105 @@ def _mixture_weight(w) -> Fraction | float:
     return w
 
 
-def _mixture_values(weights, measures, support) -> list[Coeff]:
+def _mixture_half(weights, measures) -> tuple[np.ndarray, list]:
     """sum_k w_k mu_k(lambda) on the positive half of a shared support.
 
-    An entry is an ``ExactComplex`` exactly where the per-entry
-    ``c_add``/``c_mul`` combination gives one: every term is exact, its
-    factors both exact or one of them an exact zero.  Exact entries are
-    summed in Fractions; the others come from a complex128 accumulator
-    updated part by part, in order.
+    An entry is exact exactly where every term is: its weight and its
+    moment both exact, or its moment an exact zero.  The float entries come
+    from a complex128 accumulator updated part by part, in order; the
+    exact ones are summed in Fractions and stored as ``complex(v)``.
     """
-    half = [f for f, _ in _pairs(support)]
-    acc = np.zeros(len(half), dtype=np.complex128)
-    exact = np.ones(len(half), dtype=bool)
+    m = len(measures[0]._exact)
+    half = np.zeros(m, dtype=np.complex128)
+    exact_at = np.ones(m, dtype=bool)
     exact_parts = []
     for w, mu in zip(weights, measures):
-        vals = [mu.entries[f] for f in half]
         if isinstance(w, Fraction):
             if w == 0:
                 continue  # every term is an exact zero
-            exact_terms = [isinstance(v, ExactComplex) for v in vals]
-            exact_parts.append((w, vals))
+            terms = [e is not None for e in mu._exact]
+            exact_parts.append((w, mu._exact))
         else:
-            exact_terms = [isinstance(v, ExactComplex) and v.is_zero() for v in vals]
-        exact &= np.array(exact_terms, dtype=bool)
-        acc += float(w) * np.array([complex(v) for v in vals], dtype=np.complex128)
-    out = acc.tolist()
-    for i in np.flatnonzero(exact).tolist():
+            terms = [e is not None and e.is_zero() for e in mu._exact]
+        exact_at &= np.array(terms, dtype=bool)
+        half += float(w) * mu._vec[m + 1 :]
+    exact: list[ExactComplex | None] = [None] * m
+    for i in np.flatnonzero(exact_at).tolist():
         re = im = Fraction(0)
         for w, vals in exact_parts:
-            re += w * vals[i].re
-            im += w * vals[i].im
-        out[i] = ExactComplex(re, im)
-    return out
+            if vals[i].re:
+                re += w * vals[i].re
+            if vals[i].im:
+                im += w * vals[i].im
+        exact[i] = e = ExactComplex(re, im)
+        half[i] = complex(e)
+    return half, exact
 
 
 class FSMeasure:
-    """Moment data mu_hat on a finite symmetric frequency support."""
+    """Moment data mu_hat on a finite symmetric frequency support.
 
-    __slots__ = ("module", "entries", "support", "_psd_by_construction")
+    ``_vec`` holds the moments as complex128 in support order; ``_exact``
+    holds, for each frequency of the positive half in order, its exact
+    value or None.
+    """
+
+    __slots__ = ("module", "support", "_vec", "_exact", "_psd_by_construction", "_entries")
 
     def __init__(self, module: FrequencyModule, entries: dict[Frequency, Coeff]):
-        self._build(module, entries, check_symmetric_support(entries.keys()))
+        support = check_symmetric_support(entries.keys())
+        self._build_checked(module, support, [entries[f] for f in support])
 
     @classmethod
-    def _from_checked(cls, module, entries, support) -> "FSMeasure":
-        """Build on a ``support`` already returned by
-        :func:`check_symmetric_support`; the keys of ``entries`` must be
-        exactly its frequencies."""
+    def _checked(cls, module, support: Support, values) -> "FSMeasure":
+        """Check moments given in support order on a checked support."""
         mu = cls.__new__(cls)
-        mu._build(module, entries, support)
+        mu._build_checked(module, support, values)
         return mu
 
     @classmethod
-    def _by_construction(cls, module, entries, support) -> "FSMeasure":
+    def _by_construction(cls, module, support: Support, half, exact) -> "FSMeasure":
         """Adopt moments that are normalized, Hermitian and positive
         definite by construction (Haar, a Dirac point, a convex mixture of
-        such measures) on a checked ``support``: only the frequencies'
-        module is checked."""
-        for f in support:
-            require_same_module(module, f.module)
+        such measures), given by the positive half's vector and sidecar:
+        only the support's module is checked."""
+        require_same_module(module, support.module)
         mu = cls.__new__(cls)
-        mu.module, mu.entries, mu.support = module, entries, support
-        mu._psd_by_construction = True
+        mu._set(module, support, half, exact, True)
         return mu
 
-    def _build(self, module, entries, support) -> None:
-        for f in support:
-            require_same_module(module, f.module)
-        norm = coeff_of(entries[module.zero()])
-        if complex(norm) != 1:
+    def _set(self, module, support, half, exact, by_construction: bool) -> None:
+        self.module = module
+        self.support = support
+        self._vec = _vector(half, exact)
+        self._exact = exact
+        self._psd_by_construction = by_construction
+        self._entries = None
+
+    def _build_checked(self, module, support: Support, values) -> None:
+        """mu_hat(0) = 1, mu_hat(-lambda) = conj(mu_hat(lambda)) and the PSD
+        check on ``values`` in support order; the negative half is then
+        kept as the conjugate of the positive half."""
+        require_same_module(module, support.module)
+        m = len(support) // 2
+        if complex(coeff_of(values[m])) != 1:
             raise InputError("measure is not normalized: mu_hat(0) must equal 1")
-        clean: dict[Frequency, Coeff] = {module.zero(): EC_ONE}
-        for f, g in _pairs(support):
-            v = coeff_of(entries[f])
-            w = coeff_of(entries[g])
+        half = []
+        for k in range(m):
+            v = coeff_of(values[m + 1 + k])
+            w = coeff_of(values[m - 1 - k])
             if isinstance(v, ExactComplex) and isinstance(w, ExactComplex):
                 if w != v.conj():
-                    raise InputError(f"moments not Hermitian at {f.coords}")
+                    raise InputError(f"moments not Hermitian at {support[m + 1 + k].coords}")
             elif abs(complex(w) - complex(v).conjugate()) > HERMITIAN_TOL:
-                raise InputError(f"moments not Hermitian at {f.coords}")
-            clean[f] = v
-            clean[g] = c_conj(v)
-        self.module = module
-        self.entries = clean
-        self.support = support
-        self._psd_by_construction = False
+                raise InputError(f"moments not Hermitian at {support[m + 1 + k].coords}")
+            half.append(v)
+        exact = [v if isinstance(v, ExactComplex) else None for v in half]
+        vec = np.array([complex(v) for v in half], dtype=np.complex128)
+        self._set(module, support, vec, exact, False)
+        self._require_psd()
+
+    def _require_psd(self) -> None:
         defect = self.psd_defect()
         if defect < -PSD_TOL:
             raise InputError(f"moment data is not positive definite (defect {defect:.3e})")
@@ -400,15 +500,20 @@ class FSMeasure:
     def haar(module: FrequencyModule, support) -> "FSMeasure":
         """Moments delta_{lambda,0}: every Gram block is the identity."""
         support = check_symmetric_support(support)
-        entries = {f: EC_ONE if f.is_zero() else EC_ZERO for f in support}
-        return FSMeasure._by_construction(module, entries, support)
+        m = len(support) // 2
+        return FSMeasure._by_construction(
+            module, support, np.zeros(m, dtype=np.complex128), [EC_ZERO] * m
+        )
 
     @staticmethod
     def point_mass_identity(module: FrequencyModule, support) -> "FSMeasure":
         """The Dirac measure at the identity: every moment, and so every
         entry of every Gram block, is 1."""
         support = check_symmetric_support(support)
-        return FSMeasure._by_construction(module, {f: EC_ONE for f in support}, support)
+        m = len(support) // 2
+        return FSMeasure._by_construction(
+            module, support, np.ones(m, dtype=np.complex128), [EC_ONE] * m
+        )
 
     @staticmethod
     def from_point(module: FrequencyModule, support, psi: BohrPoint) -> "FSMeasure":
@@ -419,8 +524,8 @@ class FSMeasure:
         come from :func:`_dirac_moments` in one pass over the support."""
         support = check_symmetric_support(support)
         require_same_module(module, psi.module)
-        values = _dirac_moments(psi.turns, [f.coords for f, _ in _pairs(support)])
-        return FSMeasure._by_construction(module, _hermitian_entries(support, values), support)
+        half, exact = _dirac_moments(psi.turns, support.rows[len(support) // 2 + 1 :])
+        return FSMeasure._by_construction(module, support, half, exact)
 
     @staticmethod
     def mixture(parts) -> "FSMeasure":
@@ -446,12 +551,31 @@ class FSMeasure:
             raise InputError("mixture weights must sum to 1")
         if any(m.support != support for m in measures):
             raise InputError("mixture components must share a support set")
-        entries = _hermitian_entries(support, _mixture_values(weights, measures, support))
+        mu = FSMeasure._by_construction(module, support, *_mixture_half(weights, measures))
         if all(m.psd_by_construction for m in measures):
-            return FSMeasure._by_construction(module, entries, support)
-        return FSMeasure._from_checked(module, entries, support)
+            return mu
+        return FSMeasure._checked(module, support, mu._values())
 
     # -- access ----------------------------------------------------------
+
+    def _values(self) -> list[Coeff]:
+        """The moments in support order: the exact sidecar's value where
+        there is one, else the vector's complex."""
+        m = len(self._exact)
+        vals = self._vec.tolist()
+        for k, e in enumerate(self._exact):
+            if e is not None:
+                vals[m + 1 + k] = e
+                vals[m - 1 - k] = e.conj() if e.im else e
+        vals[m] = EC_ONE
+        return vals
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """The moments keyed by frequency, read-only, built on first access."""
+        if self._entries is None:
+            self._entries = dict(zip(self.support, self._values()))
+        return MappingProxyType(self._entries)
 
     def value(self, freq: Frequency) -> Coeff:
         try:
@@ -462,46 +586,43 @@ class FSMeasure:
     def max_abs_diff(self, other: "FSMeasure") -> float:
         if self.support != other.support:
             raise InputError("measures live on different supports")
-        return max(
-            abs(complex(self.entries[f]) - complex(other.entries[f]))
-            for f in self.support
-        )
+        diff = self._vec - other._vec
+        return max(np.hypot(diff.real, diff.imag).tolist())
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, ExactComplex) for v in self.entries.values())
+        return all(e is not None for e in self._exact)
 
     # -- positive definiteness -------------------------------------------
 
     def _moment_vector(self) -> np.ndarray:
-        """The moments as complex128, in support order."""
-        return np.array([complex(self.entries[f]) for f in self.support], dtype=np.complex128)
+        """The moments as complex128, in support order (read-only)."""
+        return self._vec
 
     def _moment_sizes(self) -> np.ndarray:
-        """|mu_hat(lambda)| in support order, each from Python's complex abs."""
-        return np.array([abs(self.entries[f]) for f in self.support], dtype=np.float64)
+        """|mu_hat(lambda)| in support order, as Python's complex abs gives
+        them (``np.abs`` on complex128 may differ in the last bit)."""
+        return np.hypot(self._vec.real, self._vec.imag)
 
     def gram_blocks(self) -> list[tuple[list[Frequency], np.ndarray]]:
         """One Gram matrix [mu_hat(a - b)] per maximal difference clique."""
         index = support_index(self.support)
-        vals = self._moment_vector()
         return [
-            ([self.support[i] for i in clique], vals[table])
+            ([self.support[i] for i in clique], self._vec[table])
             for clique, table in zip(index.cliques, index.tables)
         ]
 
     def psd_defect(self) -> float:
         """Smallest eigenvalue over all maximal Gram blocks (1.0 if none)."""
-        vals = self._moment_vector()
         worst = 1.0
         for stack in support_index(self.support).stacks:
-            worst = min(worst, float(np.linalg.eigvalsh(vals[stack]).min()))
+            worst = min(worst, float(np.linalg.eigvalsh(self._vec[stack]).min()))
         return worst
 
     def exact_psd(self) -> bool | None:
         """Rational-arithmetic PSD certificate; None when entries are floats."""
         if not self.is_exact():
             return None
-        vals = [self.entries[f] for f in self.support]
+        vals = self._values()
         for table in support_index(self.support).tables:
             if not _exact_psd([[vals[k] for k in row] for row in table.tolist()]):
                 return False
@@ -511,12 +632,11 @@ class FSMeasure:
 
     def pushforward(self, t: RealLike) -> "FSMeasure":
         """Image under translation by iota(t): mu_hat(lambda) *= e^{i*lambda*t}."""
-        half = [f for f, _ in _pairs(self.support)]
-        phases = turn_table(self.module, t).phases([f.coords for f in half])
-        values = [c_mul(p, self.entries[f]) for f, p in zip(half, phases)]
-        return FSMeasure._from_checked(
-            self.module, _hermitian_entries(self.support, values), self.support
-        )
+        m = len(self._exact)
+        phases = turn_table(self.module, t).phases(self.support.rows[m + 1 :])
+        half = [c_mul(p, v) for p, v in zip(phases, self._values()[m + 1 :])]
+        values = [*(c_conj(v) for v in reversed(half)), EC_ONE, *half]
+        return FSMeasure._checked(self.module, self.support, values)
 
     def is_invariant(self, shifts, tol: float = 1e-12) -> "InvarianceReport":
         """Moment form of translation invariance: |mu_hat(lambda)| *
@@ -526,7 +646,7 @@ class FSMeasure:
         the support in order within a shift."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
-        rows = [f.coords for f in self.support]
+        rows = self.support.rows
         sizes = self._moment_sizes()
         worst, worst_f, worst_t = 0.0, None, None
         for t in shifts:
@@ -539,16 +659,28 @@ class FSMeasure:
 
     def project_to_invariant(self, shifts, tol: float = 1e-12) -> "FSMeasure":
         """Zero the moments killed by the shifts (the orbit average), keeping
-        the surviving ones untouched."""
-        rows = [f.coords for f in self.support]
+        the surviving ones untouched, then check the result.
+
+        The result is Hermitian where both frequencies of a pair +-lambda are
+        killed or neither is; a pair killed on one side only must carry a
+        zero moment (exactly zero, or within ``HERMITIAN_TOL`` for a float)."""
+        rows = self.support.rows
         killed = np.zeros(len(rows), dtype=bool)
         for t in shifts:
             killed |= ~turn_table(self.module, t).in_two_pi_z(rows, tol)
-        entries = {
-            f: EC_ZERO if dead else self.entries[f] for f, dead in zip(self.support, killed)
-        }
-        entries[self.module.zero()] = EC_ONE
-        return FSMeasure._from_checked(self.module, entries, self.support)
+        m = len(self._exact)
+        pos = killed[m + 1 :]
+        half = self._vec[m + 1 :].copy()
+        for k in np.flatnonzero(pos != killed[:m][::-1]).tolist():
+            e = self._exact[k]
+            if abs(complex(half[k])) > HERMITIAN_TOL if e is None else not e.is_zero():
+                raise InputError(f"moments not Hermitian at {self.support[m + 1 + k].coords}")
+        half[pos] = 0.0
+        exact = [EC_ZERO if dead else e for dead, e in zip(pos.tolist(), self._exact)]
+        mu = FSMeasure.__new__(FSMeasure)
+        mu._set(self.module, self.support, half, exact, False)
+        mu._require_psd()
+        return mu
 
     def __repr__(self) -> str:
         return f"FSMeasure({len(self.support)} moments over {self.module.dim}-gen module)"
@@ -594,11 +726,11 @@ def uniqueness_verdict(
     and numeric at ``tol`` otherwise.
     """
     support = check_symmetric_support(support)
-    for f in support:
-        require_same_module(module, f.module)
-    rows = [f.coords for f in support]
+    require_same_module(module, support.module)
+    rows = support.rows
     killer_at: list = [None] * len(support)
-    alive = np.array([not f.is_zero() for f in support])
+    alive = np.ones(len(support), dtype=bool)
+    alive[len(support) // 2] = False  # the zero frequency
     for t in shifts:
         if not alive.any():
             break
@@ -718,12 +850,10 @@ class TorusDensity:
     def moments(self, support) -> FSMeasure:
         """Character moments: mu_hat(lambda_n) = c_{-n} (missing ones are 0)."""
         support = check_symmetric_support(support)
-        entries: dict[Frequency, Coeff] = {}
-        for f in support:
-            neg = tuple(-k for k in f.coords)
-            entries[f] = self.coeffs.get(neg, EC_ZERO)
-        entries[self.module.zero()] = EC_ONE
-        return FSMeasure._from_checked(self.module, entries, support)
+        # read backwards, a support's rows are its negated rows
+        values = [self.coeffs.get(r, EC_ZERO) for r in reversed(support.rows)]
+        values[len(values) // 2] = EC_ONE
+        return FSMeasure._checked(self.module, support, values)
 
     def box_measure(self, box) -> float:
         """Measure of a product of angle intervals (radians, width <= 2*pi)."""

@@ -268,7 +268,7 @@ def test_psd_by_construction_flag(rng):
     ]
     unflagged = [
         checked,
-        FSMeasure._from_checked(M, dict(haar.entries), haar.support),
+        FSMeasure._checked(M, haar.support, list(haar.entries.values())),
         dirac.pushforward(1),
         dirac.project_to_invariant([1]),
         TorusDensity.uniform(M).moments(F3),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -434,7 +435,7 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
     assert _strict_json(capsys.readouterr().out)["error"] == "internal: RuntimeError: boom"
 
 
-def test_cli_fuzzed_inputs_never_crash(rng, tmp_path):
+def test_cli_fuzzed_inputs_never_crash(rng, tmp_path, capsys):
     garbage = [
         "",
         "((((",
@@ -456,12 +457,52 @@ def test_cli_fuzzed_inputs_never_crash(rng, tmp_path):
     for _ in range(18):
         n = int(rng.integers(1, 12))
         garbage.append("".join(rng.choice(list("chi()ha+-*/0123456789. tpqrs")) for _ in range(n)))
+    # in process: the handlers and the report, one argv at a time
     for src in garbage:
-        proc = run_cli("mean", src)
-        assert proc.returncode in (0, 2), src
-        json.loads(proc.stdout)  # report is always valid JSON
+        code = cli.main(["mean", src])
+        assert code in (0, 2), src
+        _strict_json(capsys.readouterr().out)  # report is always valid JSON
+    # across the process boundary: one expression and one measure file
+    proc = run_cli("mean", "((((")
+    assert proc.returncode == 2
+    _strict_json(proc.stdout)
     bad = tmp_path / "fuzz.json"
     bad.write_text(json.dumps({"r_part": {"breakpoints": "zap"}}))
     proc = run_cli("check-measure", str(bad), "--shifts", "1")
     assert proc.returncode == 2
-    json.loads(proc.stdout)
+    _strict_json(proc.stdout)
+
+
+@pytest.mark.parametrize("glued", [False, True], ids=["bare", "glued"])
+def test_cli_repeated_measure_coordinate_exit_2(tmp_path, capsys, glued):
+    # +-1 get the moment 1/2, then appear again with 0: neither may win
+    entries = [{"coords": [k], "re": "1" if k == 0 else "1/2", "im": "0"} for k in (-1, 0, 1)]
+    entries += [{"coords": [k], "re": "0", "im": "0"} for k in (-1, 1)]
+    measure = {
+        "module": {"generators": [{"symbol": None, "decimal": "1", "rational_scale": [1, 1]}]},
+        "entries": entries,
+    }
+    if glued:
+        measure = {"r_part": {"breakpoints": [], "values": [], "atoms": []}, "bohr_part": measure}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(measure))
+    code = cli.main(["check-measure", str(path), "--shifts", "1"])
+    assert code == 2
+    assert "[-1] appear twice" in _strict_json(capsys.readouterr().out)["error"]
+
+
+def test_cli_frequency_box_is_bounded():
+    # (2*100000 + 1)**4 is about 1.6e21 frequencies: refused before any is
+    # built, at the cost of a command that does nothing
+    t0 = time.perf_counter()
+    run_cli("mean", "1", timeout=20)
+    baseline = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    proc = run_cli(
+        "verify-haar-uniqueness", "--generators", "1,sqrt2,sqrt3,pi",
+        "--freqs", "-100000..100000", "--shifts", "1", timeout=20,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2, proc.stdout
+    assert "limit of 1048576 frequencies" in _strict_json(proc.stdout)["error"]
+    assert elapsed < baseline + 1.0

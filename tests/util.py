@@ -12,8 +12,11 @@ from bohrlab import (
     C0Function,
     ExactComplex,
     FSMeasure,
+    InputError,
     RPart,
 )
+from bohrlab.frequencies import turn_table
+from bohrlab.measures import support_index
 from bohrlab.scalars import (
     EC_ONE,
     EC_ZERO,
@@ -27,6 +30,7 @@ from bohrlab.scalars import (
     c_mul,
     coeff_of,
     phase_from_turn,
+    quarter_phase,
     symbol_kind,
 )
 
@@ -275,3 +279,166 @@ def reference_dirac_moments(support, psi):
             entries[f] = v
             entries[-f] = c_conj(v)
     return entries
+
+
+# ------------------------------------------------------------------
+# dict-based moment builds: how FSMeasure held its moments before the
+# moment vector, one Frequency-keyed dict per measure on a support checked
+# with a set
+# ------------------------------------------------------------------
+
+
+def reference_symmetric_support(freqs):
+    """The set-based support check: the distinct frequencies sorted by
+    coordinates, or the InputError for an empty set, a missing zero or a
+    missing negation (which one is reported follows set order)."""
+    fset = set(freqs)
+    if not fset:
+        raise InputError("support set is empty")
+    zero = next(iter(fset)).module.zero()
+    if zero not in fset:
+        raise InputError("support set must contain the zero frequency")
+    for f in fset:
+        if -f not in fset:
+            raise InputError(f"support set is not symmetric: missing {(-f).coords}")
+    return tuple(sorted(fset, key=lambda f: f.coords))
+
+
+def _positive_half(support):
+    """(f, -f) for each f of the positive half of a sorted symmetric support."""
+    m = len(support) // 2
+    return list(zip(support[m + 1 :], reversed(support[:m])))
+
+
+def _hermitian_entries(support, values):
+    entries = {support[len(support) // 2]: EC_ONE}
+    for (f, g), v in zip(_positive_half(support), values):
+        entries[f] = v
+        entries[g] = c_conj(v)
+    return entries
+
+
+class ReferenceMeasure:
+    """Moments in a Frequency-keyed dict; every array is rebuilt from it."""
+
+    def __init__(self, module, support, entries):
+        self.module, self.support, self.entries = module, tuple(support), entries
+
+    def moment_vector(self):
+        return np.array([complex(self.entries[f]) for f in self.support], dtype=np.complex128)
+
+    def moment_sizes(self):
+        return np.array([abs(self.entries[f]) for f in self.support], dtype=np.float64)
+
+    def gram_blocks(self):
+        index = support_index(self.support)
+        vals = self.moment_vector()
+        return [([self.support[i] for i in c], vals[t]) for c, t in zip(index.cliques, index.tables)]
+
+    def psd_defect(self):
+        vals = self.moment_vector()
+        worst = 1.0
+        for stack in support_index(self.support).stacks:
+            worst = min(worst, float(np.linalg.eigvalsh(vals[stack]).min()))
+        return worst
+
+    def is_invariant(self, shifts, tol=1e-12):
+        """(ok, worst, worst frequency, worst shift), as InvarianceReport."""
+        rows = [f.coords for f in self.support]
+        sizes = self.moment_sizes()
+        worst, worst_f, worst_t = 0.0, None, None
+        for t in shifts:
+            v = np.fmax(sizes * turn_table(self.module, t).chords(rows), 0.0)
+            i = int(np.argmax(v))
+            if v[i] > worst:
+                worst, worst_f, worst_t = float(v[i]), self.support[i], t
+        return worst <= tol, worst, worst_f, worst_t
+
+
+def reference_haar(module, support):
+    support = reference_symmetric_support(support)
+    return ReferenceMeasure(module, support, {f: EC_ONE if f.is_zero() else EC_ZERO for f in support})
+
+
+def reference_point(module, support, psi):
+    """Dirac moments entry by entry: each turn sum_k c_k * turn_k summed in
+    Fractions (a float turn taken exactly) and rounded to float once; exact
+    on quarter turns when every nonzero coordinate meets a Fraction turn."""
+    support = reference_symmetric_support(support)
+    values = []
+    for f, _ in _positive_half(support):
+        turn = sum((Fraction(t) * c for t, c in zip(psi.turns, f.coords)), Fraction(0)) % 1
+        exact = all(isinstance(t, Fraction) for t, c in zip(psi.turns, f.coords) if c)
+        if exact and (4 * turn).denominator == 1:
+            values.append(quarter_phase(int(4 * turn)))
+        else:
+            values.append(phase_from_turn(float(turn)))
+    return ReferenceMeasure(module, support, _hermitian_entries(support, values))
+
+
+def reference_mix(parts):
+    """sum_k w_k mu_k over (Fraction or float weight, ReferenceMeasure)
+    pairs: a complex128 accumulator updated part by part, in order, and an
+    exact Fraction sum wherever every term is exact (an exact weight and
+    moment, or an exact zero moment)."""
+    module, support = parts[0][1].module, parts[0][1].support
+    half = [f for f, _ in _positive_half(support)]
+    acc = np.zeros(len(half), dtype=np.complex128)
+    exact = np.ones(len(half), dtype=bool)
+    exact_parts = []
+    for w, mu in parts:
+        vals = [mu.entries[f] for f in half]
+        if isinstance(w, Fraction):
+            if w == 0:
+                continue
+            exact_terms = [isinstance(v, ExactComplex) for v in vals]
+            exact_parts.append((w, vals))
+        else:
+            exact_terms = [isinstance(v, ExactComplex) and v.is_zero() for v in vals]
+        exact &= np.array(exact_terms, dtype=bool)
+        acc += float(w) * np.array([complex(v) for v in vals], dtype=np.complex128)
+    out = acc.tolist()
+    for i in np.flatnonzero(exact).tolist():
+        re = im = Fraction(0)
+        for w, vals in exact_parts:
+            re += w * vals[i].re
+            im += w * vals[i].im
+        out[i] = ExactComplex(re, im)
+    return ReferenceMeasure(module, support, _hermitian_entries(support, out))
+
+
+def reference_pushforward(mu, t):
+    half = [f for f, _ in _positive_half(mu.support)]
+    phases = turn_table(mu.module, t).phases([f.coords for f in half])
+    values = [c_mul(p, mu.entries[f]) for f, p in zip(half, phases)]
+    return ReferenceMeasure(mu.module, mu.support, _hermitian_entries(mu.support, values))
+
+
+def reference_project(mu, shifts, tol=1e-12):
+    """Killed moments set to an exact zero, then the negative half rebuilt
+    as the conjugate of the positive half."""
+    rows = [f.coords for f in mu.support]
+    killed = np.zeros(len(rows), dtype=bool)
+    for t in shifts:
+        killed |= ~turn_table(mu.module, t).in_two_pi_z(rows, tol)
+    entries = {f: EC_ZERO if dead else mu.entries[f] for f, dead in zip(mu.support, killed)}
+    values = [entries[f] for f, _ in _positive_half(mu.support)]
+    return ReferenceMeasure(mu.module, mu.support, _hermitian_entries(mu.support, values))
+
+
+def reference_uniqueness_verdict(module, support, shifts, tol=1e-12):
+    """(verdict, surviving, killers), as UniquenessVerdict."""
+    support = reference_symmetric_support(support)
+    rows = [f.coords for f in support]
+    killer_at = [None] * len(support)
+    alive = np.array([not f.is_zero() for f in support])
+    for t in shifts:
+        if not alive.any():
+            break
+        hit = alive & ~turn_table(module, t).in_two_pi_z(rows, tol)
+        for i in np.flatnonzero(hit):
+            killer_at[i] = t
+        alive &= ~hit
+    surviving = tuple(f for f, a in zip(support, alive) if a)
+    killers = {f: k for f, k in zip(support, killer_at) if k is not None}
+    return ("ForcedHaar" if not surviving else "Undetermined"), surviving, killers
