@@ -48,11 +48,12 @@ def _parse_module(text: str) -> FrequencyModule:
     return FrequencyModule(tuple(gens))
 
 
-def _parse_shifts(text: str) -> list:
-    shifts = [parse_scalar_literal(part) for part in text.split(",") if part.strip()]
-    if not shifts:
+def _parse_shifts(text: str) -> tuple[list[str], list]:
+    """The shift literals, stripped, and the shifts they parse to."""
+    literals = [part.strip() for part in text.split(",") if part.strip()]
+    if not literals:
         raise InputError("no shifts given")
-    return shifts
+    return literals, [parse_scalar_literal(lit) for lit in literals]
 
 
 def _parse_freq_range(text: str, module: FrequencyModule):
@@ -125,13 +126,17 @@ def _cmd_translate(args) -> tuple[int, dict]:
 def _cmd_verify_haar_uniqueness(args) -> tuple[int, dict]:
     module = _parse_module(args.generators)
     support = _parse_freq_range(args.freqs, module)
-    shifts = _parse_shifts(args.shifts)
+    literals, shifts = _parse_shifts(args.shifts)
     verdict = uniqueness_verdict(module, support, shifts, args.tol)
+    # a witness is reported as the first literal that parsed to it
+    literal_of = {}
+    for lit, t in zip(literals, shifts):
+        literal_of.setdefault(id(t), lit)
     report = {
         "verdict": verdict.verdict,
         "surviving_frequencies": _freq_list_json(verdict.surviving),
         "witness_shifts": {
-            str(list(f.coords)): str(t) for f, t in verdict.killers.items()
+            str(list(f.coords)): literal_of[id(t)] for f, t in verdict.killers.items()
         },
     }
     return (EXIT_OK if verdict.forced else EXIT_FALSIFIED), report
@@ -155,7 +160,7 @@ def _cmd_verify_extension(args) -> tuple[int, dict]:
 def _cmd_check_measure(args) -> tuple[int, dict]:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    shifts = _parse_shifts(args.shifts)
+    _, shifts = _parse_shifts(args.shifts)
     if isinstance(data, dict) and "r_part" in data:
         mu = qmeasure_from_json(data)
         rep = q_invariance_verdict(mu, shifts, args.tol)

@@ -74,7 +74,9 @@ class Generator:
             raise InputError("generator value must be finite")
         if self.symbol is not None:
             known = symbol_value(self.symbol)
-            if known is not None and abs(base - known) > mp.mpf(10) ** (-(mp.mp.dps - 5)):
+            # relative above 1: ``named`` writes dps significant digits
+            tol = mp.mpf(10) ** (-(mp.mp.dps - 5))
+            if known is not None and abs(base - known) > tol * max(1, abs(known)):
                 raise InputError(
                     f"decimal for symbol {self.symbol!r} does not match its value"
                 )

@@ -32,27 +32,21 @@ class GramOperator:
         return float(np.max(np.abs(self.matrix - np.eye(len(self.basis)))))
 
 
-def _basis_positions(mu: FSMeasure, basis: tuple[Frequency, ...]) -> np.ndarray:
-    """(m, m) table of the support positions of the basis differences
-    lambda_i - lambda_j, found by coordinates; every difference must carry
-    a moment."""
+def _basis_rows(mu: FSMeasure, basis: tuple[Frequency, ...]) -> list[tuple[int, ...]]:
+    """The coordinate rows of a nonempty basis over the measure's module."""
     if not basis:
         raise InputError("basis must be nonempty")
     for f in basis:
         require_same_module(mu.module, f.module)
-    where = mu.support.position
-    diffs = [tuple(x - y for x, y in zip(a.coords, b.coords)) for a in basis for b in basis]
-    missing = sorted({c for c in diffs if c not in where})
-    if missing:
-        raise InputError(f"measure is missing moments for differences: {missing}")
-    return np.array([where[c] for c in diffs], dtype=np.intp).reshape(len(basis), len(basis))
+    return [f.coords for f in basis]
 
 
 def gram_matrix(mu: FSMeasure, basis) -> GramOperator:
     """Gram matrix of the character basis under mu; every pairwise
     difference must carry a moment."""
     basis = tuple(basis)
-    g = mu._moment_vector()[_basis_positions(mu, basis)]
+    pos = mu.support.difference_positions(_basis_rows(mu, basis), strict=True)
+    g = mu._moment_vector()[pos]
     op = GramOperator(basis, g)
     if np.max(np.abs(g - g.conj().T)) > 1e-12:
         raise InputError("gram matrix is not Hermitian")
@@ -91,7 +85,7 @@ def unitarity_check(mu: FSMeasure, basis, t: RealLike, tol: float = 1e-12) -> Un
     basis = tuple(basis)
     # The basis Gram matrix is a principal submatrix of a clique block the
     # measure's construction already checked, so membership is all to check.
-    pos = _basis_positions(mu, basis).reshape(-1)
+    pos = mu.support.difference_positions(_basis_rows(mu, basis), strict=True).reshape(-1)
     chords = turn_table(mu.module, t).chords(mu.support.rows)
     v = np.fmax(mu._moment_sizes() * chords, 0.0)[pos]  # fmax drops NaN products
     i = int(np.argmax(v))

@@ -14,6 +14,16 @@ sits in the middle and position n - 1 - i holds -support[i]; the check
 compares coordinate tuples only.  A ``Support`` passed back in is
 returned as it is, and ``box_support`` and ``cross_support`` build one.
 
+A support also owns what depends on it alone.
+``Support.difference_positions`` gives the support position of every
+pairwise difference of a list of coordinate rows, looked up in the
+position map with Python integers, so coordinates have no size limit;
+the Gram blocks here and the Hilbert-space checks both read it.  The
+maximal difference cliques of F, with the table of each, form the
+support's ``index``, built on first use and kept as long as the support.
+A Gram block is then the moment vector indexed by a table, and the PSD
+check is one batched ``eigvalsh`` per clique size.
+
 An ``FSMeasure`` keeps its moments in one complex128 vector in support
 order, plus an exact sidecar for the positive half: the ``ExactComplex``
 value of each entry that is exact, else None.  The negative half is the
@@ -24,27 +34,20 @@ vector and the sidecar agree bit for bit with the per-entry values.
 ``entries`` is the read-only Frequency-to-moment mapping, built on first
 access.
 
-Every ``FSMeasure`` is checked for that on construction.  The maximal
-difference cliques of F, and the support position of each pairwise
-difference within them, depend only on F, so ``support_index`` builds
-them once per support and keeps them in a small LRU cache
-(``SUPPORT_INDEX_SIZE`` supports).  A Gram block is then the moment vector
-indexed by a precomputed table, and the PSD check is one batched
-``eigvalsh`` per clique size.  The cache is bounded because workloads that
-draw a fresh support for nearly every measure reuse nothing from it, and
-every entry held costs memory.
-
-Some measures are PSD by construction and skip the Hermitian and PSD
-checks; ``FSMeasure.psd_by_construction`` records it.  Haar blocks are
-the identity, and a Dirac point's blocks (``from_point``,
-``point_mass_identity``) are the rank-one v v*.  A ``mixture`` whose
-parts all carry the flag carries it too: its weights are checked to be
-finite, real and nonnegative, so each of its Gram blocks is a convex
-combination of the parts' PSD blocks, and its smallest eigenvalue is at
-least the weighted sum of theirs.  "By construction" holds up to the
-rounding of float Dirac phases and of the float combination.
-``__init__``, a mixture with any other part, and the translation and
-projection results keep every check.
+Only ``__init__``, which takes moment data from outside, checks
+normalization and Hermitian symmetry; every other construction writes
+the positive half and takes the negative half as its conjugate.  One
+builder adopts the positive half and runs the PSD check unless the
+moments are PSD by construction, which ``FSMeasure.psd_by_construction``
+records.  Haar blocks are the identity, and a Dirac point's blocks
+(``from_point``, ``point_mass_identity``) are the rank-one v v*.  A
+``mixture`` whose parts all carry the flag carries it too: its weights
+are checked to be finite, real and nonnegative, so each of its Gram
+blocks is a convex combination of the parts' PSD blocks, and its
+smallest eigenvalue is at least the weighted sum of theirs.  "By
+construction" holds up to the rounding of float Dirac phases and of the
+float combination.  ``__init__``, a mixture with any other part, and the
+translation and projection results run the PSD check.
 
 Translation by t multiplies mu_hat(lambda) by e^{i*lambda*t}, so a measure
 is invariant under a set of shifts exactly when the shifts kill every
@@ -70,7 +73,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -100,9 +103,7 @@ from .scalars import (
 
 PSD_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
-SUPPORT_INDEX_SIZE = 16  # supports whose clique index is kept; see support_index
 MAX_BOX_SUPPORT = 2**20  # frequencies a box_support may hold
-_COORD_LIMIT = 2**62  # |coord| below this keeps pairwise differences in int64
 
 
 # ------------------------------------------------------------------
@@ -116,8 +117,9 @@ class Support(tuple):
     ``support[n - 1 - i]`` is ``-support[i]``.
 
     It equals and hashes like the plain tuple of its frequencies.
-    ``module`` is their module, ``rows`` their coordinate tuples in order
-    and ``position`` maps a coordinate tuple to its index.  Made by
+    ``module`` is their module, ``rows`` their coordinate tuples in order,
+    ``position`` maps a coordinate tuple to its index and ``index`` is the
+    clique index, built on first use.  Made by
     :func:`check_symmetric_support`, :func:`box_support` and
     :func:`cross_support`.
     """
@@ -132,16 +134,37 @@ class Support(tuple):
     def position(self) -> dict[tuple[int, ...], int]:
         return {r: i for i, r in enumerate(self.rows)}
 
-    @cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
+    def difference_positions(self, rows, strict: bool = False) -> np.ndarray:
+        """(k, k) intp table of the support positions of rows[i] - rows[j]
+        for k coordinate tuples, -1 where a difference lies outside the
+        support; with ``strict``, such a difference is an ``InputError``
+        that lists every missing one.  The differences are Python-integer
+        tuples looked up in ``position``, so coordinates have no size
+        limit."""
+        get, sub, k = self.position.get, operator.sub, len(rows)
+        pos = [get(tuple(map(sub, a, b)), -1) for a in rows for b in rows]
+        table = np.array(pos, dtype=np.intp).reshape(k, k)
+        if strict and (table < 0).any():
+            missing = {tuple(map(sub, rows[i], rows[j])) for i, j in zip(*np.nonzero(table < 0))}
+            raise InputError(f"measure is missing moments for differences: {sorted(missing)}")
+        return table
 
-    def __hash__(self) -> int:
-        # kept: the clique-index cache hashes its support on every lookup
-        return self._hash
+    @cached_property
+    def index(self) -> SupportIndex:
+        """The :class:`SupportIndex`, shared by every measure on this support."""
+        pos = self.difference_positions(self.rows)
+        cliques = tuple(tuple(c) for c in _difference_cliques(pos))
+        tables = tuple(pos[np.ix_(c, c)] for c in cliques)
+        by_size: dict[int, list[np.ndarray]] = {}
+        for t in tables:
+            by_size.setdefault(t.shape[0], []).append(t)
+        stacks = tuple(np.stack(ts) for _, ts in sorted(by_size.items()))
+        for a in (*tables, *stacks):
+            a.setflags(write=False)  # shared by every measure on the support
+        return SupportIndex(cliques, tables, stacks)
 
     def __reduce__(self):
-        # rebuild rather than restore: string hashes differ between processes
+        # rebuild rather than copy the cached position map and index
         return (check_symmetric_support, (tuple(self),))
 
 
@@ -228,25 +251,9 @@ def _maximal_cliques(n: int, adj: list[set[int]]) -> list[list[int]]:
     return out
 
 
-def _difference_positions(freqs: tuple[Frequency, ...]) -> np.ndarray:
-    """(n, n) intp table: the support position of freqs[i] - freqs[j], or -1
-    when that difference lies outside the support.  Built on an int64
-    coordinate array, so no ``Frequency`` is created or hashed."""
-    if any(abs(c) >= _COORD_LIMIT for f in freqs for c in f.coords):
-        raise InputError("frequency coordinates must be below 2**62 in absolute value")
-    coords = np.array([f.coords for f in freqs], dtype=np.int64)
-    n, d = coords.shape
-    diffs = (coords[:, None, :] - coords[None, :, :]).reshape(n * n, d)
-    _, ids = np.unique(np.concatenate([coords, diffs]), axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
-    where = np.full(n + n * n, -1, dtype=np.intp)
-    where[ids[:n]] = np.arange(n)
-    return where[ids[n:]].reshape(n, n)
-
-
 def _difference_cliques(pos: np.ndarray) -> list[list[int]]:
     """Maximal index sets whose pairwise frequency differences stay in F,
-    from the difference table of :func:`_difference_positions`."""
+    from a support's own difference table."""
     n = pos.shape[0]
     inside = pos >= 0
     adj = [set() for _ in range(n)]
@@ -270,27 +277,6 @@ class SupportIndex:
     cliques: tuple[tuple[int, ...], ...]
     tables: tuple[np.ndarray, ...]
     stacks: tuple[np.ndarray, ...]
-
-
-@lru_cache(maxsize=SUPPORT_INDEX_SIZE)
-def support_index(support: tuple[Frequency, ...]) -> SupportIndex:
-    """The :class:`SupportIndex` of a sorted symmetric support.
-
-    The index depends only on the support, so it is cached.  The cache is
-    bounded to ``SUPPORT_INDEX_SIZE`` supports: a caller that sees a new
-    support for nearly every measure gets no reuse from it, and a larger
-    bound only holds more tables in memory.
-    """
-    pos = _difference_positions(support)
-    cliques = tuple(tuple(c) for c in _difference_cliques(pos))
-    tables = tuple(pos[np.ix_(c, c)] for c in cliques)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for t in tables:
-        by_size.setdefault(t.shape[0], []).append(t)
-    stacks = tuple(np.stack(ts) for _, ts in sorted(by_size.items()))
-    for a in (*tables, *stacks):
-        a.setflags(write=False)  # shared by every caller through the cache
-    return SupportIndex(cliques, tables, stacks)
 
 
 def _exact_psd(matrix: list[list[ExactComplex]]) -> bool:
@@ -419,6 +405,13 @@ def _mixture_half(weights, measures) -> tuple[np.ndarray, list]:
     return half, exact
 
 
+def _coeff_half(values) -> tuple[np.ndarray, list]:
+    """The complex128 vector and exact sidecar of a positive half given as
+    coefficients."""
+    exact = [v if isinstance(v, ExactComplex) else None for v in values]
+    return np.array([complex(v) for v in values], dtype=np.complex128), exact
+
+
 class FSMeasure:
     """Moment data mu_hat on a finite symmetric frequency support.
 
@@ -430,62 +423,42 @@ class FSMeasure:
     __slots__ = ("module", "support", "_vec", "_exact", "_psd_by_construction", "_entries")
 
     def __init__(self, module: FrequencyModule, entries: dict[Frequency, Coeff]):
+        """Moment data from outside: mu_hat(0) = 1 and mu_hat(-lambda) =
+        conj(mu_hat(lambda)) are checked here, positive definiteness by
+        :meth:`_build`; the negative half is then kept as the conjugate of
+        the positive half."""
         support = check_symmetric_support(entries.keys())
-        self._build_checked(module, support, [entries[f] for f in support])
+        m = len(support) // 2
+        if complex(coeff_of(entries[support[m]])) != 1:
+            raise InputError("measure is not normalized: mu_hat(0) must equal 1")
+        half = []
+        for f, g in zip(support[m + 1 :], reversed(support[:m])):
+            v, w = coeff_of(entries[f]), coeff_of(entries[g])
+            if isinstance(v, ExactComplex) and isinstance(w, ExactComplex):
+                if w != v.conj():
+                    raise InputError(f"moments not Hermitian at {f.coords}")
+            elif abs(complex(w) - complex(v).conjugate()) > HERMITIAN_TOL:
+                raise InputError(f"moments not Hermitian at {f.coords}")
+            half.append(v)
+        self._build(module, support, *_coeff_half(half), False)
 
-    @classmethod
-    def _checked(cls, module, support: Support, values) -> "FSMeasure":
-        """Check moments given in support order on a checked support."""
-        mu = cls.__new__(cls)
-        mu._build_checked(module, support, values)
-        return mu
-
-    @classmethod
-    def _by_construction(cls, module, support: Support, half, exact) -> "FSMeasure":
-        """Adopt moments that are normalized, Hermitian and positive
-        definite by construction (Haar, a Dirac point, a convex mixture of
-        such measures), given by the positive half's vector and sidecar:
-        only the support's module is checked."""
+    def _build(self, module, support: Support, half, exact, by_construction: bool) -> "FSMeasure":
+        """Adopt the positive half's complex128 vector ``half`` and exact
+        sidecar ``exact`` on a checked support of ``module``, and return the
+        measure.  The PSD check runs unless ``by_construction`` is set
+        (Haar, a Dirac point, a convex mixture of such measures)."""
         require_same_module(module, support.module)
-        mu = cls.__new__(cls)
-        mu._set(module, support, half, exact, True)
-        return mu
-
-    def _set(self, module, support, half, exact, by_construction: bool) -> None:
         self.module = module
         self.support = support
         self._vec = _vector(half, exact)
         self._exact = exact
         self._psd_by_construction = by_construction
         self._entries = None
-
-    def _build_checked(self, module, support: Support, values) -> None:
-        """mu_hat(0) = 1, mu_hat(-lambda) = conj(mu_hat(lambda)) and the PSD
-        check on ``values`` in support order; the negative half is then
-        kept as the conjugate of the positive half."""
-        require_same_module(module, support.module)
-        m = len(support) // 2
-        if complex(coeff_of(values[m])) != 1:
-            raise InputError("measure is not normalized: mu_hat(0) must equal 1")
-        half = []
-        for k in range(m):
-            v = coeff_of(values[m + 1 + k])
-            w = coeff_of(values[m - 1 - k])
-            if isinstance(v, ExactComplex) and isinstance(w, ExactComplex):
-                if w != v.conj():
-                    raise InputError(f"moments not Hermitian at {support[m + 1 + k].coords}")
-            elif abs(complex(w) - complex(v).conjugate()) > HERMITIAN_TOL:
-                raise InputError(f"moments not Hermitian at {support[m + 1 + k].coords}")
-            half.append(v)
-        exact = [v if isinstance(v, ExactComplex) else None for v in half]
-        vec = np.array([complex(v) for v in half], dtype=np.complex128)
-        self._set(module, support, vec, exact, False)
-        self._require_psd()
-
-    def _require_psd(self) -> None:
-        defect = self.psd_defect()
-        if defect < -PSD_TOL:
-            raise InputError(f"moment data is not positive definite (defect {defect:.3e})")
+        if not by_construction:
+            defect = self.psd_defect()
+            if defect < -PSD_TOL:
+                raise InputError(f"moment data is not positive definite (defect {defect:.3e})")
+        return self
 
     @property
     def psd_by_construction(self) -> bool:
@@ -501,9 +474,8 @@ class FSMeasure:
         """Moments delta_{lambda,0}: every Gram block is the identity."""
         support = check_symmetric_support(support)
         m = len(support) // 2
-        return FSMeasure._by_construction(
-            module, support, np.zeros(m, dtype=np.complex128), [EC_ZERO] * m
-        )
+        half = np.zeros(m, dtype=np.complex128)
+        return FSMeasure.__new__(FSMeasure)._build(module, support, half, [EC_ZERO] * m, True)
 
     @staticmethod
     def point_mass_identity(module: FrequencyModule, support) -> "FSMeasure":
@@ -511,9 +483,8 @@ class FSMeasure:
         entry of every Gram block, is 1."""
         support = check_symmetric_support(support)
         m = len(support) // 2
-        return FSMeasure._by_construction(
-            module, support, np.ones(m, dtype=np.complex128), [EC_ONE] * m
-        )
+        half = np.ones(m, dtype=np.complex128)
+        return FSMeasure.__new__(FSMeasure)._build(module, support, half, [EC_ONE] * m, True)
 
     @staticmethod
     def from_point(module: FrequencyModule, support, psi: BohrPoint) -> "FSMeasure":
@@ -525,7 +496,7 @@ class FSMeasure:
         support = check_symmetric_support(support)
         require_same_module(module, psi.module)
         half, exact = _dirac_moments(psi.turns, support.rows[len(support) // 2 + 1 :])
-        return FSMeasure._by_construction(module, support, half, exact)
+        return FSMeasure.__new__(FSMeasure)._build(module, support, half, exact, True)
 
     @staticmethod
     def mixture(parts) -> "FSMeasure":
@@ -539,7 +510,7 @@ class FSMeasure:
         its smallest eigenvalue is at least sum_k w_k times the smallest
         eigenvalue of G_k.  As for ``haar`` and ``from_point``, that holds
         up to the rounding of float Dirac phases and of the float
-        combination.  A mixture with any other part gets the full check.
+        combination.  A mixture with any other part gets the PSD check.
         """
         parts = list(parts)
         if not parts:
@@ -551,10 +522,9 @@ class FSMeasure:
             raise InputError("mixture weights must sum to 1")
         if any(m.support != support for m in measures):
             raise InputError("mixture components must share a support set")
-        mu = FSMeasure._by_construction(module, support, *_mixture_half(weights, measures))
-        if all(m.psd_by_construction for m in measures):
-            return mu
-        return FSMeasure._checked(module, support, mu._values())
+        half, exact = _mixture_half(weights, measures)
+        by_construction = all(m.psd_by_construction for m in measures)
+        return FSMeasure.__new__(FSMeasure)._build(module, support, half, exact, by_construction)
 
     # -- access ----------------------------------------------------------
 
@@ -605,7 +575,7 @@ class FSMeasure:
 
     def gram_blocks(self) -> list[tuple[list[Frequency], np.ndarray]]:
         """One Gram matrix [mu_hat(a - b)] per maximal difference clique."""
-        index = support_index(self.support)
+        index = self.support.index
         return [
             ([self.support[i] for i in clique], self._vec[table])
             for clique, table in zip(index.cliques, index.tables)
@@ -614,7 +584,7 @@ class FSMeasure:
     def psd_defect(self) -> float:
         """Smallest eigenvalue over all maximal Gram blocks (1.0 if none)."""
         worst = 1.0
-        for stack in support_index(self.support).stacks:
+        for stack in self.support.index.stacks:
             worst = min(worst, float(np.linalg.eigvalsh(self._vec[stack]).min()))
         return worst
 
@@ -623,7 +593,7 @@ class FSMeasure:
         if not self.is_exact():
             return None
         vals = self._values()
-        for table in support_index(self.support).tables:
+        for table in self.support.index.tables:
             if not _exact_psd([[vals[k] for k in row] for row in table.tolist()]):
                 return False
         return True
@@ -635,8 +605,8 @@ class FSMeasure:
         m = len(self._exact)
         phases = turn_table(self.module, t).phases(self.support.rows[m + 1 :])
         half = [c_mul(p, v) for p, v in zip(phases, self._values()[m + 1 :])]
-        values = [*(c_conj(v) for v in reversed(half)), EC_ONE, *half]
-        return FSMeasure._checked(self.module, self.support, values)
+        mu = FSMeasure.__new__(FSMeasure)
+        return mu._build(self.module, self.support, *_coeff_half(half), False)
 
     def is_invariant(self, shifts, tol: float = 1e-12) -> "InvarianceReport":
         """Moment form of translation invariance: |mu_hat(lambda)| *
@@ -677,10 +647,7 @@ class FSMeasure:
                 raise InputError(f"moments not Hermitian at {self.support[m + 1 + k].coords}")
         half[pos] = 0.0
         exact = [EC_ZERO if dead else e for dead, e in zip(pos.tolist(), self._exact)]
-        mu = FSMeasure.__new__(FSMeasure)
-        mu._set(self.module, self.support, half, exact, False)
-        mu._require_psd()
-        return mu
+        return FSMeasure.__new__(FSMeasure)._build(self.module, self.support, half, exact, False)
 
     def __repr__(self) -> str:
         return f"FSMeasure({len(self.support)} moments over {self.module.dim}-gen module)"
@@ -850,10 +817,12 @@ class TorusDensity:
     def moments(self, support) -> FSMeasure:
         """Character moments: mu_hat(lambda_n) = c_{-n} (missing ones are 0)."""
         support = check_symmetric_support(support)
-        # read backwards, a support's rows are its negated rows
-        values = [self.coeffs.get(r, EC_ZERO) for r in reversed(support.rows)]
-        values[len(values) // 2] = EC_ONE
-        return FSMeasure._checked(self.module, support, values)
+        # c_{-lambda} on the positive half: the negative half's rows, read
+        # backwards, are the positive half's negated
+        negated = reversed(support.rows[: len(support) // 2])
+        half = [self.coeffs.get(r, EC_ZERO) for r in negated]
+        mu = FSMeasure.__new__(FSMeasure)
+        return mu._build(self.module, support, *_coeff_half(half), False)
 
     def box_measure(self, box) -> float:
         """Measure of a product of angle intervals (radians, width <= 2*pi)."""

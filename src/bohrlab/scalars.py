@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import mpmath as mp
@@ -163,22 +164,20 @@ def as_fraction(t: RealLike) -> Fraction:
 RATIONAL_KEY = "1"
 PI_KEY = "pi"
 
-_SQUAREFREE_CACHE: dict[int, bool] = {}
+SQUAREFREE_LIMIT = 10**12  # sqrtN tags above this are opaque; see symbol_kind
 
 
+@lru_cache(maxsize=64)
 def _is_squarefree(n: int) -> bool:
-    if n in _SQUAREFREE_CACHE:
-        return _SQUAREFREE_CACHE[n]
-    m, d, ok = n, 2, True
+    """Trial division up to sqrt(n): at most 10**6 steps below the limit."""
+    m, d = n, 2
     while d * d <= m:
         if m % (d * d) == 0:
-            ok = False
-            break
+            return False
         if m % d == 0:
             m //= d
         d += 1
-    _SQUAREFREE_CACHE[n] = ok
-    return ok
+    return True
 
 
 def symbol_kind(tag: str) -> str:
@@ -187,7 +186,9 @@ def symbol_kind(tag: str) -> str:
     The exact multiple-of-2*pi decision relies on {1, sqrt(n_1), ...} being
     linearly independent over the rationals, which holds for square roots of
     distinct squarefree integers.  Anything else (e, user constants, products
-    created by multiplying by pi) is opaque and decided numerically.
+    created by multiplying by pi, square roots of integers above
+    ``SQUAREFREE_LIMIT``, which are not factored) is opaque and decided
+    numerically.
     """
     if tag == RATIONAL_KEY:
         return "rational"
@@ -198,7 +199,7 @@ def symbol_kind(tag: str) -> str:
             n = int(tag[4:])
         except ValueError:
             return "opaque"
-        if n >= 2 and _is_squarefree(n):
+        if 2 <= n <= SQUAREFREE_LIMIT and _is_squarefree(n):
             return "algebraic"
     return "opaque"
 

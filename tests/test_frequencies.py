@@ -8,7 +8,7 @@ import pytest
 
 from bohrlab import FrequencyModule, Generator, InputError
 from bohrlab.frequencies import RELATION_BOUND, RELATION_TOL, chord_of, in_two_pi_z, turn_of
-from bohrlab.scalars import PiTimes
+from bohrlab.scalars import SQUAREFREE_LIMIT, PiTimes, symbol_kind
 from util import brute_relation
 
 
@@ -132,6 +132,25 @@ def test_chord_exact_zero_on_periodic_shift():
 def test_generator_symbol_decimal_consistency():
     with pytest.raises(InputError, match="does not match"):
         Generator("pi", "2.71828", Fraction(1))
+
+
+def test_generator_decimal_tolerance_is_relative_above_one():
+    # named() writes dps significant digits, so the error grows with the value
+    big = Generator.named("sqrt10000000019")
+    assert FrequencyModule((Generator.rational(1), big)).dim == 2
+    value = mp.sqrt(10000000019)
+    for rel in (mp.mpf(10) ** -30, mp.mpf(10) ** -12):
+        wrong = mp.nstr(value * (1 + rel), mp.mp.dps)
+        with pytest.raises(InputError, match="does not match"):
+            Generator("sqrt10000000019", wrong, Fraction(1))
+    assert symbol_kind("sqrt10000000019") == "algebraic"
+
+
+def test_square_roots_above_the_squarefree_limit_are_opaque():
+    assert symbol_kind(f"sqrt{SQUAREFREE_LIMIT + 39}") == "opaque"
+    assert symbol_kind("sqrt1000000000000000000000007") == "opaque"
+    assert symbol_kind("sqrt200560490130") == "algebraic"  # the primes up to 31
+    assert symbol_kind("sqrt12") == "opaque"  # 2**2 * 3
 
 
 def test_relation_scan_finds_small_relations():

@@ -48,6 +48,20 @@ def test_missing_moment_reports_differences():
         gram_matrix(mu, basis(0, 3))
 
 
+def test_missing_basis_differences_are_listed_in_order():
+    mu = FSMeasure.haar(M, box_support(M, 1))
+    for check in (lambda b: gram_matrix(mu, b), lambda b: unitarity_check(mu, b, 1)):
+        with pytest.raises(InputError) as exc:
+            check(basis(2, 0, 1))
+        assert str(exc.value) == "measure is missing moments for differences: [(-2,), (2,)]"
+    m2 = FrequencyModule.make(1, "sqrt2")
+    mu = FSMeasure.haar(m2, box_support(m2, 1))
+    with pytest.raises(InputError) as exc:
+        gram_matrix(mu, [m2.frequency(0, 0), m2.frequency(1, 1), m2.frequency(-1, 0)])
+    missing = "[(-2, -1), (2, 1)]"
+    assert str(exc.value) == f"measure is missing moments for differences: {missing}"
+
+
 def test_translation_matrix_identity_at_zero():
     assert np.array_equal(translation_matrix(0, basis(0, 1, 2)), np.eye(3))
 

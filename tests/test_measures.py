@@ -1,5 +1,7 @@
+import gc
 import math
 import struct
+import weakref
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,17 +18,22 @@ from bohrlab import (
     TorusDensity,
     box_support,
     cross_support,
+    gram_matrix,
     iota,
     measures,
+    unitarity_check,
     uniqueness_verdict,
 )
-from bohrlab.measures import PSD_TOL, SUPPORT_INDEX_SIZE, _maximal_cliques, support_index
+from bohrlab.measures import PSD_TOL
 from bohrlab.scalars import EC_ONE, EC_ZERO, c_conj
 from util import (
     random_point,
     random_psd_measure,
+    reference_chord,
     reference_dirac_moments,
+    reference_gram_blocks,
     reference_mixture,
+    reference_psd_defect,
 )
 
 M = FrequencyModule.integers()
@@ -235,25 +242,26 @@ def test_each_construction_checks_the_support_once(monkeypatch):
         psd_calls.append(1)
         return psd(mu)
 
-    haar, dirac = FSMeasure.haar(M, F3), FSMeasure.from_point(M, F3, iota(M, 1))
-    flagged = [haar, FSMeasure.point_mass_identity(M, F3), FSMeasure.mixture([(1, dirac)])]
+    support = box_support(M, 3)  # a fresh support, whose index is not built yet
+    haar, dirac = FSMeasure.haar(M, support), FSMeasure.from_point(M, support, iota(M, 1))
+    flagged = [haar, FSMeasure.point_mass_identity(M, support), FSMeasure.mixture([(1, dirac)])]
+    # checked on a support of its own, equal to ``support``
     checked = FSMeasure(M, dict(dirac.entries))
     monkeypatch.setattr(FSMeasure, "psd_defect", counting_psd)
     for others, psd_checks in (
         (flagged, 0),
         ([haar, checked], 1),
-        ([haar, dirac.pushforward(Fraction(1, 3))], 1),
+        ([haar, checked.pushforward(Fraction(1, 3))], 1),
     ):
         parts = [(Fraction(1, len(others) + 1), m) for m in (dirac, *others)]
-        info = support_index.cache_info()
         calls.clear()
         psd_calls.clear()
-        FSMeasure.mixture(parts)
+        mu = FSMeasure.mixture(parts)
+        assert mu.support is support
         assert len(calls) == 0
         assert len(psd_calls) == psd_checks
         if not psd_checks:
-            after = support_index.cache_info()
-            assert (after.hits, after.misses) == (info.hits, info.misses)
+            assert "index" not in vars(support)
 
 
 def test_psd_by_construction_flag(rng):
@@ -268,7 +276,7 @@ def test_psd_by_construction_flag(rng):
     ]
     unflagged = [
         checked,
-        FSMeasure._checked(M, haar.support, list(haar.entries.values())),
+        FSMeasure(M, dict(haar.entries)),
         dirac.pushforward(1),
         dirac.project_to_invariant([1]),
         TorusDensity.uniform(M).moments(F3),
@@ -549,35 +557,6 @@ def test_density_d3_rejected():
 # ------------------------------------------------------------------
 
 
-def reference_gram_blocks(support, entries):
-    """Gram blocks built entry by entry through Frequency arithmetic: the
-    cliques from pairwise differences tested against the support set, and
-    each entry looked up as entries[a - b]."""
-    fset = set(support)
-    n = len(support)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if support[i] - support[j] in fset:
-                adj[i].add(j)
-                adj[j].add(i)
-    out = []
-    for idx in _maximal_cliques(n, adj):
-        basis = [support[i] for i in idx]
-        g = np.array(
-            [[complex(entries[a - b]) for b in basis] for a in basis], dtype=np.complex128
-        )
-        out.append((basis, g))
-    return out
-
-
-def reference_psd_defect(blocks):
-    worst = 1.0
-    for _, g in blocks:
-        worst = min(worst, float(np.linalg.eigvalsh(g).min()))
-    return worst
-
-
 def _random_difference_support(module, rng):
     box = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     k = int(rng.integers(2, 7))
@@ -609,7 +588,7 @@ def test_gram_blocks_match_per_entry_build(rng):
                 assert g.dtype == h.dtype and np.array_equal(g, h)
             assert mu.psd_defect() == pytest.approx(reference_psd_defect(ref), abs=1e-12)
         # the size-grouped stacks hold every clique table exactly once
-        index = support_index(tuple(support))
+        index = mu.support.index
         stacked = sorted(t.tolist() for stack in index.stacks for t in stack)
         assert stacked == sorted(t.tolist() for t in index.tables)
 
@@ -650,32 +629,72 @@ def test_non_psd_moment_data_rejected_on_every_support(rng):
     assert rejected > 0
 
 
-def test_support_index_cache_stays_bounded():
-    support_index.cache_clear()
-    seen = set()
-    for mask in range(1, 101):
-        ks = [k for k in range(1, 8) if mask >> (k - 1) & 1]
-        support = tuple(M.frequency(k) for k in sorted({0, *ks, *(-k for k in ks)}))
-        seen.add(support)
-        support_index(support)
-    assert len(seen) == 100
-    info = support_index.cache_info()
-    assert info.maxsize == SUPPORT_INDEX_SIZE
-    assert info.currsize <= info.maxsize
+def test_support_index_is_built_once_and_freed_with_its_support(monkeypatch):
+    cliques = measures._difference_cliques
+    builds = []
+
+    def counting(pos):
+        builds.append(1)
+        return cliques(pos)
+
+    monkeypatch.setattr(measures, "_difference_cliques", counting)
+    support = box_support(M, 4)
+    point = FSMeasure.from_point(M, support, iota(M, 1))
+    measures_on_it = [
+        FSMeasure.mixture([(Fraction(1, 2), point), (Fraction(1, 2), point.pushforward(1))]),
+        point.project_to_invariant([Fraction(1, 3)]),
+        TorusDensity.uniform(M).moments(support),
+    ]
+    assert all(mu.support is support for mu in measures_on_it)
+    for mu in measures_on_it:
+        mu.psd_defect(), mu.gram_blocks(), mu.exact_psd()
+    assert len(builds) == 1
+    index = weakref.ref(support.index)
+    assert all(mu.support.index is index() for mu in measures_on_it)
+    del support, point, measures_on_it, mu
+    gc.collect()
+    assert index() is None
+    # an equal support checked anew is a new support with an index of its own
+    box_support(M, 4).index
+    assert len(builds) == 2
 
 
-def test_support_index_rejects_coordinates_outside_int64_differences():
-    def haar_entries(support):
-        return {f: EC_ONE if f.is_zero() else EC_ZERO for f in support}
+def test_large_coordinates_match_per_entry_oracles(rng):
+    """The difference table looks coordinates up as Python integers, so the
+    Gram blocks, the PSD check and the Hilbert checks hold at any size."""
+    for big in (2**62, 2**100):
+        _check_large_coordinates(big, rng)
 
-    big = 2**62
+
+def _check_large_coordinates(big, rng):
+    m2 = FrequencyModule.make(1, "sqrt2")
+    for module, rows in (
+        (M, [(k * big,) for k in range(-2, 3)] + [(k * big + 1,) for k in (-2, -1, 0, 1)]),
+        (m2, [(a * big, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]),
+    ):
+        rows = sorted(set(rows) | {tuple(-c for c in r) for r in rows})
+        support = tuple(module.frequency(*r) for r in rows)
+        assert max(abs(c) for r in rows for c in r) >= big
+        for _ in range(3):
+            mu = random_psd_measure(module, support, rng, n_atoms=int(rng.integers(1, 4)))
+            for nu in (mu, FSMeasure(module, dict(mu.entries)), mu.pushforward(Fraction(1, 3))):
+                ref = reference_gram_blocks(nu.support, nu.entries)
+                got = nu.gram_blocks()
+                assert [b for b, _ in got] == [b for b, _ in ref]
+                assert all(g.tobytes() == h.tobytes() for (_, g), (_, h) in zip(got, ref))
+                assert nu.psd_defect() == reference_psd_defect(ref)
+                # the largest clique as a Hilbert-space basis
+                basis = max((b for b, _ in ref), key=len)
+                want = np.array([[complex(nu.entries[a - b]) for b in basis] for a in basis])
+                assert gram_matrix(nu, basis).matrix.tobytes() == want.tobytes()
+                t = float(rng.uniform(0.05, 3.0))
+                rep = unitarity_check(nu, basis, t)
+                chords = {f: reference_chord(f, t) for f in {a - b for a in basis for b in basis}}
+                worst = max(abs(complex(nu.entries[f])) * c for f, c in chords.items())
+                assert rep.defect == pytest.approx(worst, rel=1e-9, abs=1e-12)
+    # Haar moments and the phase layer need no difference table either
     support = (M.frequency(-big), M.zero(), M.frequency(big))
-    with pytest.raises(InputError, match="2\\*\\*62"):
-        FSMeasure(M, haar_entries(support))
-    ok = (M.frequency(1 - big), M.zero(), M.frequency(big - 1))
-    assert FSMeasure(M, haar_entries(ok)).psd_defect() == 1.0
-    # Haar moments need no PSD check, and the phase layer has no
-    # coordinate limit: the shifts kill both nonzero moments.
+    assert FSMeasure(M, {f: EC_ONE if f.is_zero() else EC_ZERO for f in support}).psd_defect() == 1.0
     mu = FSMeasure.haar(M, support)
     assert mu.is_invariant([Fraction(1, 3)]).ok
     assert uniqueness_verdict(M, support, [Fraction(1, 3)]).forced

@@ -13,12 +13,15 @@ from bohrlab import (
     FrequencyModule,
     InputError,
     PiTimes,
+    box_support,
     cli,
     lower_expression,
     parse_expression,
     parse_scalar_literal,
     print_expression,
+    uniqueness_verdict,
 )
+from bohrlab.scalars import SymbolicReal
 
 M = FrequencyModule.integers()
 
@@ -248,6 +251,46 @@ def test_cli_verify_haar_uniqueness_undetermined():
     report = json.loads(proc.stdout)
     assert report["verdict"] == "Undetermined"
     assert len(report["surviving_frequencies"]) == 6
+
+
+def _same_shift(a, b) -> bool:
+    if isinstance(a, SymbolicReal) or isinstance(b, SymbolicReal):
+        return type(a) is type(b) and (a.terms, a.approx) == (b.terms, b.approx)
+    return type(a) is type(b) and a == b
+
+
+def test_cli_witness_shifts_are_the_literals_given():
+    literals = ["2*pi", "1/2*pi", "sqrt2", "1/3"]
+    argv = ["verify-haar-uniqueness", "--generators", "1,sqrt2", "--freqs", "-4..4"]
+    runs = [run_cli(*argv, "--shifts", ",".join(literals), timeout=20) for _ in range(2)]
+    assert runs[0].returncode == 0 and runs[0].stdout == runs[1].stdout
+    witnesses = _strict_json(runs[0].stdout)["witness_shifts"]
+    # the same verdict in this process: each witness parses back to its killer
+    module = cli._parse_module("1,sqrt2")
+    shifts = [parse_scalar_literal(lit) for lit in literals]
+    verdict = uniqueness_verdict(module, box_support(module, 4), shifts)
+    assert set(witnesses) == {str(list(f.coords)) for f in verdict.killers}
+    for f, t in verdict.killers.items():
+        assert _same_shift(parse_scalar_literal(witnesses[str(list(f.coords))]), t)
+    assert set(witnesses.values()) == {"2*pi", "1/2*pi", "sqrt2"}
+
+
+@pytest.mark.parametrize(
+    "generators, shifts",
+    [("1", "sqrt1000000000000000000000007"), ("1,sqrt10000000019", "1/3")],
+    ids=["large_sqrt_shift", "large_sqrt_generator"],
+)
+def test_cli_large_square_roots_finish(generators, shifts):
+    t0 = time.perf_counter()
+    proc = run_cli(
+        "verify-haar-uniqueness", "--generators", generators, "--freqs", "-1..1",
+        "--shifts", shifts, timeout=20,
+    )
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 0, proc.stdout
+    report = _strict_json(proc.stdout)
+    assert report["verdict"] == "ForcedHaar"
+    assert set(report["witness_shifts"].values()) == {shifts}
 
 
 def test_cli_verify_extension():

@@ -170,8 +170,10 @@ def test_table_matches_the_oracle_near_the_coordinate_limit(modules, rng):
         killers, surviving = _reference_verdict(support, shifts, 1e-12)
         verdict = uniqueness_verdict(module, support, shifts)
         assert (verdict.killers, list(verdict.surviving)) == (killers, surviving)
-        # Haar moments need no clique index, so the 2**62 limit does not apply
+        # the clique index looks differences up as Python integers, so its
+        # PSD check runs at these coordinates too
         haar = FSMeasure.haar(module, support)
+        assert haar.psd_defect() == 1.0
         rep = haar.is_invariant(shifts)
         assert (rep.worst, rep.worst_freq, rep.worst_shift) == _reference_worst(haar, shifts)
 

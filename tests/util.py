@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,7 @@ from bohrlab import (
     RPart,
 )
 from bohrlab.frequencies import turn_table
-from bohrlab.measures import support_index
+from bohrlab.measures import _maximal_cliques
 from bohrlab.scalars import (
     EC_ONE,
     EC_ZERO,
@@ -304,6 +305,37 @@ def reference_symmetric_support(freqs):
     return tuple(sorted(fset, key=lambda f: f.coords))
 
 
+@lru_cache(maxsize=256)
+def _reference_cliques(support):
+    """The maximal cliques of a support, from pairwise Frequency differences
+    tested against the support set."""
+    fset = set(support)
+    n = len(support)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if support[i] - support[j] in fset:
+                adj[i].add(j)
+                adj[j].add(i)
+    return [[support[i] for i in idx] for idx in _maximal_cliques(n, adj)]
+
+
+def reference_gram_blocks(support, entries):
+    """Gram blocks built entry by entry through Frequency arithmetic, each
+    entry looked up as entries[a - b]."""
+    return [
+        (basis, np.array([[complex(entries[a - b]) for b in basis] for a in basis], dtype=np.complex128))
+        for basis in _reference_cliques(tuple(support))
+    ]
+
+
+def reference_psd_defect(blocks):
+    worst = 1.0
+    for _, g in blocks:
+        worst = min(worst, float(np.linalg.eigvalsh(g).min()))
+    return worst
+
+
 def _positive_half(support):
     """(f, -f) for each f of the positive half of a sorted symmetric support."""
     m = len(support) // 2
@@ -331,16 +363,10 @@ class ReferenceMeasure:
         return np.array([abs(self.entries[f]) for f in self.support], dtype=np.float64)
 
     def gram_blocks(self):
-        index = support_index(self.support)
-        vals = self.moment_vector()
-        return [([self.support[i] for i in c], vals[t]) for c, t in zip(index.cliques, index.tables)]
+        return reference_gram_blocks(self.support, self.entries)
 
     def psd_defect(self):
-        vals = self.moment_vector()
-        worst = 1.0
-        for stack in support_index(self.support).stacks:
-            worst = min(worst, float(np.linalg.eigvalsh(vals[stack]).min()))
-        return worst
+        return reference_psd_defect(self.gram_blocks())
 
     def is_invariant(self, shifts, tol=1e-12):
         """(ok, worst, worst frequency, worst shift), as InvarianceReport."""
