@@ -16,8 +16,9 @@ from bohrlab import (
     kronecker_approx,
     kronecker_residual,
 )
-from bohrlab.bohr import MAX_WINDOWS
-from util import brute_kronecker, random_exact_ap, random_point
+from bohrlab import bohr
+from bohrlab.bohr import MAX_WINDOWS, _first_return, _in_sweep_order, _returns
+from util import brute_kronecker, random_exact_ap, random_point, reference_window_sweep
 
 M1 = FrequencyModule.integers()
 M2 = FrequencyModule.make(1, "sqrt2")
@@ -164,15 +165,39 @@ def test_kronecker_accepts_exact_preimage_point():
     assert kronecker_residual(psi, res.t) < 1e-6
 
 
-def test_kronecker_budget_exhaustion_is_reported():
+def test_kronecker_range_miss_is_reported():
     # an unreachable gap: eps far below what the few windows in [-0.5, 0.5] reach
     psi = BohrPoint.from_angles(M2, [1.0, 2.0])
     res = kronecker_approx(psi, 1e-9, 0.5)
-    if not res.found:
-        assert res.t is None
-        assert res.points_scanned > 0
-        assert res.gap >= 1e-9
-        assert res.reason == "range"
+    assert not res.found and res.t is None
+    assert res.reason == "range"
+    # ceil(0.5 * sqrt2 / pi) + 2 windows cover [-0.5, 0.5]
+    assert res.points_scanned == 3
+    assert math.isfinite(res.gap) and res.gap >= 1e-9
+
+
+def test_kronecker_budget_miss_is_reported():
+    psi = BohrPoint.from_angles(M2, [1.0, 2.0])
+    res = kronecker_approx(psi, 1e-12, 1e308)
+    assert not res.found and res.t is None
+    assert res.reason == "budget"
+    assert res.points_scanned == MAX_WINDOWS
+    assert math.isfinite(res.gap) and res.gap >= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1], ids=["other", "pivot"])
+def test_non_finite_turns_are_input_errors(bad, at):
+    # a search on such a point would report a false "range" miss (first
+    # coordinate) or raise ValueError (the pivot's)
+    turns = [0.0, 0.0]
+    turns[at] = bad
+    with pytest.raises(InputError):
+        BohrPoint(M2, turns)
+    with pytest.raises(InputError):
+        BohrPoint.from_angles(M2, turns)
+    with pytest.raises(InputError):
+        iota(M2, bad)
 
 
 # (d, eps, t_max): t_max keeps the grid oracle's scan of [-t_max, t_max]
@@ -237,3 +262,119 @@ def test_kronecker_statistical_d3(rng):
             assert kronecker_residual(psi, res.t) < 0.1
             hits += 1
     assert hits >= 9
+
+
+# ------------------------------------------------------------------
+# candidate windows: the integer rotation and the window sweep oracle
+# ------------------------------------------------------------------
+
+
+def test_first_return_matches_brute_force(rng):
+    for case in range(3000):
+        n = int(rng.integers(1, 60))
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        # every fourth interval covers the whole circle
+        l = n - 1 if case % 4 == 0 else int(rng.integers(-1, n))
+        brute = next((j for j in range(n) if (a * j + b) % n <= l), None)
+        assert _first_return(a, b, n, l) == brute, (a, b, n, l)
+
+
+def test_three_gap_returns_match_brute_force(rng):
+    for case in range(3000):
+        n = int(rng.integers(1, 60))
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        # the widest interval the stepping takes is just under half the circle
+        l = (n - 1) // 2 if case % 4 == 0 else int(rng.integers(0, (n + 1) // 2))
+        j_max = int(rng.integers(0, 4 * n))
+        brute = [j for j in range(j_max + 1) if (a * j + b) % n <= l]
+        assert list(_returns(a, b, n, l, j_max)) == brute, (a, b, n, l, j_max)
+
+
+def test_three_gap_returns_on_a_narrow_interval():
+    # a golden-ratio rotation whose interval is so narrow that the return
+    # times n1 and n2 both exceed 10**6, checked against every step
+    n = 1 << 40
+    a = int(n * (math.sqrt(5.0) - 1.0) / 2.0)
+    l = int(n * 3e-7)
+    assert 1 + _first_return(a, a, n, l) > 10**6
+    assert 1 + _first_return(a, (a + l) % n, n, l - 1) > 10**6
+    j_max = 1 << 23
+    j = np.arange(j_max + 1, dtype=np.int64)
+    for b in (0, n // 3, n - l // 2, 123456789):
+        brute = np.flatnonzero((a * j + b) % n <= l).tolist()
+        assert list(_returns(a, b, n, l, j_max)) == brute
+
+
+def test_candidate_sides_merge_into_the_sweep_order():
+    # window i = 2j lies on the minus side (m = m0 - s*j), i = 2j + 1 on the
+    # plus side (m = m0 + s*(j + 1)); equal j puts the minus side first
+    merged = _in_sweep_order(iter([0, 1, 3]), iter([0, 1, 2, 4]), -1, -1)
+    assert list(merged) == [(0, -1), (1, -2), (2, 0), (3, -3), (5, -4), (6, 2), (9, -6)]
+
+
+CAP = math.sqrt(2.0)
+SWEEP_MODULES = [
+    ("sqrt2",),
+    (-1,),
+    (-1, "sqrt2"),
+    (1, "e"),
+    (Fraction(-7, 2), "sqrt2"),
+    (-1, "e", "pi"),
+    ("sqrt2", -5, "e"),
+    (1, "sqrt2", "sqrt3", "pi"),
+    ("e", -1, "sqrt3", "pi"),
+]
+SWEEP_EPS = [1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.3, 1.0, math.nextafter(CAP, 0.0), CAP, math.nextafter(CAP, 2.0), 2.0, 3.0]
+
+
+def _same_result(psi, eps, t_max):
+    res = kronecker_approx(psi, eps, t_max)
+    ref = reference_window_sweep(psi, eps, t_max)
+    # repr compares every field, float bits and zero signs included
+    assert repr(res) == repr(ref), (psi, eps, t_max)
+    return res
+
+
+@pytest.mark.parametrize("gens", SWEEP_MODULES, ids=lambda g: ",".join(map(str, g)))
+def test_kronecker_matches_the_window_sweep(rng, gens):
+    module = FrequencyModule.make(*gens)
+    d = module.dim
+    for eps in SWEEP_EPS:
+        # tiny eps over a long range is a miss over up to MAX_WINDOWS
+        # windows; the far-out cases below cover it
+        for t_max in (0.5, 1e6, 1e308) if eps > 0.02 else (0.5, 30.0, 1e4):
+            for _ in range(2):
+                rational = [PiTimes(Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 9)))) for _ in range(d)]
+                for psi in (
+                    BohrPoint(module, tuple(float(u) for u in rng.random(d))),
+                    BohrPoint.from_angles(module, rational),
+                ):
+                    _same_result(psi, eps, t_max)
+
+
+# targets whose first hit lies beyond window 10**6 (and one budget miss),
+# where |m| and with it the rounding pad are largest
+DEEP_CASES = [
+    ((-1, "sqrt2"), (Fraction(1, 3), Fraction(1, 3)), 1_515_586),
+    ((1, "e"), (Fraction(2, 3), Fraction(1, 3)), 3_269_840),
+    ((1, "e"), (Fraction(1, 4), Fraction(1, 3)), MAX_WINDOWS),
+]
+
+
+@pytest.mark.parametrize("gens, turns, scanned", DEEP_CASES)
+def test_kronecker_matches_the_window_sweep_far_out(gens, turns, scanned):
+    res = _same_result(BohrPoint(FrequencyModule.make(*gens), turns), 1e-6, 1e308)
+    assert res.points_scanned == scanned
+    assert res.found == (scanned < MAX_WINDOWS)
+
+
+def test_kronecker_hits_take_no_pass_over_the_windows(rng, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a numpy pass over the windows ran")
+
+    monkeypatch.setattr(bohr, "_sweep", no_sweep)
+    m3 = FrequencyModule.make(1, "sqrt2", "sqrt3")
+    for module, eps in ((M2, 0.01), (m3, 0.05)):
+        for _ in range(20):
+            psi = BohrPoint(module, tuple(float(u) for u in rng.random(module.dim)))
+            assert kronecker_approx(psi, eps, 1e6).found

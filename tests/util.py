@@ -16,6 +16,7 @@ from bohrlab import (
     InputError,
     RPart,
 )
+from bohrlab.bohr import _CHUNK_FIRST, _CHUNK_MAX, MAX_WINDOWS, KroneckerResult, kronecker_residual
 from bohrlab.frequencies import turn_table
 from bohrlab.measures import _maximal_cliques
 from bohrlab.scalars import (
@@ -154,6 +155,79 @@ def brute_kronecker(gen_values, target_angles, eps, t_lo, t_hi, step, chunk=1 <<
         if t.size:
             return float(t[0])
     return None
+
+
+def reference_window_sweep(psi, eps, t_max):
+    """The window sweep that ``kronecker_approx`` evaluated every window
+    with before it enumerated candidate windows; its results are the
+    oracle for the new path, field for field.
+
+    Search [-t_max, t_max] for t with max_k |e^{i g_k t} - e^{i theta_k}| < eps.
+
+    Window sweep: coordinate k meets its target exactly when the angle
+    g_k t - theta_k lies within w = 2 asin(eps/2) of a multiple of 2 pi.
+    The pivot p, the generator of largest |g_p|, does so on the windows
+    t = c_m + s, c_m = (theta_p + 2 pi m)/g_p, |s| < w/|g_p|.  Within a
+    window every other angle moves by less than w, so while w <= pi/2 its
+    condition is one interval in s, and the window holds a solution exactly
+    when these intervals, the pivot's and [-t_max - c_m, t_max - c_m] meet.
+    Windows are taken outward from t = 0, in numpy chunks over m; the
+    midpoint of the first nonempty intersection whose residual re-checks
+    below eps is the answer.  For eps >= sqrt(2), w is capped at pi/2, a
+    stricter test, so a hit still satisfies eps.  At most ``MAX_WINDOWS``
+    windows are examined.
+    """
+    if not eps > 0:
+        raise InputError("eps must be positive")
+    if not t_max > 0:
+        raise InputError("t_max must be positive")
+    gens = psi.module.float_values
+    targets = np.array([2.0 * math.pi * float(t) for t in psi.turns])
+    p = int(np.argmax(np.abs(gens)))
+    g_p, theta_p = float(gens[p]), float(targets[p])
+    rest = np.arange(gens.size) != p
+    g_k, theta_k = gens[rest][:, None], targets[rest][:, None]
+    w = math.pi / 2 if eps >= math.sqrt(2.0) else 2.0 * math.asin(eps / 2.0)
+    half = w / abs(g_p)
+
+    # windows m with c_m in [-t_max, t_max] number about t_max |g_p| / pi;
+    # compare in float before any int conversion (t_max may be near 1e308)
+    span = t_max * abs(g_p) / math.pi
+    if span <= MAX_WINDOWS - 2:
+        n_windows, reason = math.ceil(span) + 2, "range"
+    else:
+        n_windows, reason = MAX_WINDOWS, "budget"
+    # the window nearest t = 0, then its neighbours alternately on the
+    # nearer side first: offsets 0, +1, -1, +2, -2, ... times `side`
+    m_star = -theta_p / (2.0 * math.pi)
+    m0 = round(m_star)
+    side = 1.0 if m_star >= m0 else -1.0
+
+    best = math.inf
+    done, n = 0, _CHUNK_FIRST
+    while done < n_windows:
+        n = min(n, n_windows - done)
+        i = np.arange(done, done + n, dtype=np.float64)
+        k = np.ceil(i / 2.0)
+        c = (theta_p + 2.0 * math.pi * (m0 + side * np.where(i % 2 == 1, k, -k))) / g_p
+        tc = np.clip(c, -t_max, t_max)
+        centre_gaps = 2.0 * np.abs(np.sin(0.5 * (np.outer(gens, tc) - targets[:, None])))
+        best = min(best, float(centre_gaps.max(axis=0).min()))
+        # each other angle at the centre, in [-pi, pi); its interval in s,
+        # the pivot's and the range's meet in [lo, hi)
+        phi = np.remainder(g_k * c - theta_k + math.pi, 2.0 * math.pi) - math.pi
+        a, b = (-w - phi) / g_k, (w - phi) / g_k
+        lo = np.maximum(np.minimum(a, b).max(axis=0, initial=-half), -t_max - c)
+        hi = np.minimum(np.maximum(a, b).min(axis=0, initial=half), t_max - c)
+        for j in np.flatnonzero(lo < hi):
+            t = float(c[j] + 0.5 * (lo[j] + hi[j]))
+            gap = kronecker_residual(psi, t)
+            if gap < eps and abs(t) <= t_max:
+                return KroneckerResult(True, t, gap, done + int(j) + 1, eps, t_max, None)
+            best = min(best, gap)
+        done += n
+        n = min(4 * n, _CHUNK_MAX)
+    return KroneckerResult(False, None, best, n_windows, eps, t_max, reason)
 
 
 # ------------------------------------------------------------------
