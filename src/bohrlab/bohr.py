@@ -154,10 +154,8 @@ def iota(module: FrequencyModule, x: RealLike) -> BohrPoint:
 
     Turn k is g_k*x/(2*pi); it is exact whenever g_k*x is a rational
     multiple of pi (e.g. rational generators with shifts that are rational
-    multiples of pi).
+    multiples of pi).  A non-finite float is an input error.
     """
-    if isinstance(x, float) and not math.isfinite(x):
-        raise InputError(f"the shift must be finite, got {x!r}")
     return BohrPoint(module, tuple(turn_of(module.unit(k), x) for k in range(module.dim)))
 
 

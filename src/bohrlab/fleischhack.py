@@ -27,7 +27,7 @@ import numpy as np
 from .ap import APFunction
 from .bohr import BohrPoint, iota
 from .errors import InputError
-from .frequencies import FrequencyModule
+from .frequencies import FrequencyModule, require_tolerance
 from .measures import (
     FSMeasure,
     InvarianceReport,
@@ -258,6 +258,7 @@ def extension_agreement_check(
     The line-point/pure-C0 case is exact rational arithmetic on both
     routes, so its residual is exactly zero.
     """
+    require_tolerance(tol)
     a = xi_eval(theta_tilde(t, p), f)
     b = xi_eval(p, f.translate(t))
     if isinstance(a, ExactComplex) and isinstance(b, ExactComplex):
@@ -420,6 +421,7 @@ def r_part_invariance_verdict(r: RPart, t: RealLike, tol: float = R_MASS_TOL) ->
     """Compare interval masses against their t-translates over a spanning
     family: breakpoint-aligned intervals, the window chain of width t, and
     its prefixes."""
+    require_tolerance(tol)
     tq = abs(as_fraction(t))
     if tq == 0:
         raise InputError("shift must be nonzero")

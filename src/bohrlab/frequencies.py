@@ -21,7 +21,20 @@ integer key matrix of their symbolic terms gives the exact decisions
 term divisible by 2L survives, L the common denominator), and fixed-point
 turns frac(g_k*t/(2*pi)) held with the working precision plus
 ``TURN_GUARD_BITS`` bits give the numeric turn of everything else, reduced
-mod 1 by exact integer wrap-around.  ``turn_of``, ``phase_of``,
+mod 1 by exact integer wrap-around.
+
+A rational, float or pi-multiple shift is t = n/m or t = (n/m)*pi in
+integers (a float is the dyadic rational it holds), so its table is
+integer arithmetic alone: the keys are the generators' term coefficients
+times n/m, and each fixed-point turn is round(C_k*n / (m*2**E)) from a
+per-module constant C_k = round(g_k/(2*pi) * 2**(bits + E)), or
+round(g_k/2 * 2**(bits + E)) for pi shifts.  E is t's numerator size
+rounded up to 64 bits, and the constants are computed in mpmath on first
+use for each module, precision and E.  Only a ``SymbolicReal`` shift
+multiplies symbolic values and divides by 2*pi in mpmath per table.
+
+A table evaluates a list of rows once, into an integer view that all its
+readers share; see ``TurnTable``.  ``turn_of``, ``phase_of``,
 ``chord_of`` and ``in_two_pi_z`` are one-row calls into the same table.
 """
 
@@ -44,6 +57,7 @@ from .scalars import (
     SymbolicReal,
     as_fraction,
     phase_from_turn,
+    quarter_phase,
     symbol_kind,
     symbol_value,
 )
@@ -328,21 +342,32 @@ class Frequency:
 
 TURN_GUARD_BITS = 64  # fixed-point turn bits kept beyond the working precision
 TURN_TABLE_SIZE = 64  # (module, shift) tables kept; see turn_table
+_NUMERATOR_STEP = 64  # turn constants come in numerator sizes of this many bits
 
 
-def _generator_product(g: SymbolicReal, t: RealLike) -> SymbolicReal:
-    """The product g*t of one generator's one-term value g with a shift.
+def require_finite_shift(t: RealLike) -> None:
+    """Reject a float shift that is NaN or infinite."""
+    if isinstance(t, float) and not math.isfinite(t):
+        raise InputError(f"the shift must be finite, got {t!r}")
 
-    Shifts may be rationals (floats convert exactly), rational multiples
-    of pi, or SymbolicReal values.  A product that leaves the exactly
-    decidable class is an opaque tag carrying g's coefficient and the
-    high-precision numeric value, so the product stays linear in g and
-    equal tags from different generators add like any other term.
+
+def require_tolerance(tol) -> None:
+    """Reject a tolerance that is not a finite, nonnegative number."""
+    if not math.isfinite(tol):
+        raise InputError(f"tolerance must be finite, got {tol!r}")
+    if tol < 0:
+        raise InputError("tolerance must be nonnegative")
+
+
+def _generator_product(g: SymbolicReal, t: SymbolicReal) -> SymbolicReal:
+    """The product g*t of one generator's one-term value g with a symbolic
+    shift.
+
+    A product that leaves the exactly decidable class is an opaque tag
+    carrying g's coefficient and the high-precision numeric value, so the
+    product stays linear in g and equal tags from different generators add
+    like any other term.
     """
-    if isinstance(t, PiTimes):
-        return g.scaled(t.factor).times_pi()
-    if not isinstance(t, SymbolicReal):
-        return g.scaled(as_fraction(t))
     ((tag, q),) = g.terms.items()
     if tag == RATIONAL_KEY:
         return t.scaled(q)
@@ -358,12 +383,72 @@ def _generator_product(g: SymbolicReal, t: RealLike) -> SymbolicReal:
     return SymbolicReal({opaque: q}, g.approx * t.approx)
 
 
+def _fixed_point(value: mp.mpf, bits: int, pi: bool = False) -> int:
+    """round(value/(2*pi) * 2**bits), or round(value/2 * 2**bits) when
+    ``pi``: the turn of value (of value*pi) over 2**bits, not reduced."""
+    with mp.workprec(bits + max(int(mp.mag(value)), 0) + 16):
+        return int(mp.nint(mp.ldexp(value / 2 if pi else value / (2 * mp.pi), bits)))
+
+
 def _fixed_turn(value: mp.mpf, bits: int) -> int:
     """frac(value/(2*pi)) as an integer numerator over 2**bits."""
-    if not value:
-        return 0
-    with mp.workprec(bits + max(int(mp.mag(value)), 0) + 16):
-        return int(mp.nint(mp.ldexp(value / (2 * mp.pi), bits))) % (1 << bits)
+    return _fixed_point(value, bits) % (1 << bits) if value else 0
+
+
+def _plain_ratio(t: RealLike) -> tuple[int, int, bool]:
+    """(n, m, pi) for a shift that is not symbolic: t = n/m, or t = (n/m)*pi
+    when ``pi``; a float is the dyadic rational it holds."""
+    if isinstance(t, PiTimes):
+        return t.factor.numerator, t.factor.denominator, True
+    if isinstance(t, float):
+        return (*t.as_integer_ratio(), False)
+    q = t if isinstance(t, (int, Fraction)) else as_fraction(t)
+    return q.numerator, q.denominator, False
+
+
+def _plain_terms(module: FrequencyModule, n: int, m: int, pi: bool) -> list[dict]:
+    """The terms of each product g_k*t as tag -> (numerator, denominator)."""
+    if not n:
+        return [{} for _ in module.generators]
+    out = []
+    for g in module.generators:
+        ((tag, q),) = g.symbolic.terms.items()
+        if pi:
+            tag = PI_KEY if tag == RATIONAL_KEY else "(" + tag + ")*pi"
+        a, b = q.numerator * n, q.denominator * m
+        k = math.gcd(a, b)
+        out.append({tag: (a // k, b // k)})
+    return out
+
+
+@lru_cache(maxsize=TURN_TABLE_SIZE)
+def _turn_constants(module: FrequencyModule, bits: int, extra: int, pi: bool) -> tuple[int, ...]:
+    """Each generator's turn per unit shift, g_k/(2*pi) (g_k/2 for pi
+    shifts), over 2**(bits + extra)."""
+    return tuple(_fixed_point(g.mp_value, bits + extra, pi) for g in module.generators)
+
+
+def _plain_turns(module: FrequencyModule, n: int, m: int, pi: bool, bits: int) -> list[int]:
+    """round(frac(g_k*t/(2*pi)) * 2**bits) per generator, for t = n/m (times
+    pi when ``pi``), in integer arithmetic from the cached constants."""
+    if not n:
+        return [0] * module.dim
+    extra = -(-n.bit_length() // _NUMERATOR_STEP) * _NUMERATOR_STEP
+    den = m << extra
+    return [(2 * c * n + den) // (2 * den) % (1 << bits) for c in _turn_constants(module, bits, extra, pi)]
+
+
+class _RowView:
+    """A table's pass over one rows object; see :class:`TurnTable`."""
+
+    __slots__ = ("rows", "opaque", "numeric", "num", "chords")
+
+    def __init__(self, rows, opaque: np.ndarray, numeric: np.ndarray, num: np.ndarray):
+        self.rows = rows
+        self.opaque = opaque
+        self.numeric = numeric
+        self.num = num
+        self.chords: np.ndarray | None = None
 
 
 class TurnTable:
@@ -374,96 +459,154 @@ class TurnTable:
     ``_keys`` is the (d, columns) integer key matrix: each product's term
     coefficients times their common denominator L, the pi column first,
     then the ``_opaque`` opaque columns, then the rationals and square
-    roots.  ``_turns`` holds round(frac(g_k*t/(2*pi)) * 2**bits); the
-    guard bits in ``bits`` absorb the growth of rounding with the
-    coordinates.  Rows are coordinate tuples or an (n, d) integer array,
-    and the arithmetic runs on Python integers, so coordinates have no
-    size limit.
+    roots.  ``_turns`` holds round(frac(g_k*t/(2*pi)) * 2**bits).  Rows are
+    coordinate tuples or an (n, d) integer array, and the arithmetic runs
+    on Python integers, so coordinates have no size limit.
+
+    Precision.  For a plain shift (see the module docstring) the per-module
+    constant C_k is within 1/2 + 2**-15 of g_k/(2*pi) * 2**(bits + E), the
+    quotient being taken with 16 bits to spare.  As |t| <= |n| < 2**E,
+    C_k*n/(m*2**E) is then within 1/2 + 2**-15 of the exact turn of the
+    working-precision g_k times 2**bits, and the rounded turn within 1.0001
+    units, for every |t|: floats up to 1.8e308 have |n| < 2**1024, so
+    E <= 1024.  A row's turn sum c_k*turn_k is within sum|c_k| + 1 units,
+    which the ``TURN_GUARD_BITS`` = 64 guard bits absorb for sum|c_k| <
+    2**64.  A symbolic shift's turns are rounded from its mpmath products.
+
+    One pass per support.  Every reader (``exact``, ``in_two_pi_z``,
+    ``turns``, ``chords``, ``phases``) reads one integer view of the rows:
+    per row its pi key mod 2L when it is decided exactly, else its
+    fixed-point turn mod 2**bits, with the opaque and numeric masks.
+    ``in_two_pi_z`` compares the turns with the integer ceil(tol *
+    2**bits).  The view of the most recent tuple of rows (a support's
+    ``rows``) is kept with its chords, so the projection, invariance check
+    and verdict of one shift over one support share one pass; other rows
+    objects, which may change between calls, get a fresh view.  The kept
+    chords array is read-only and every other result is a fresh object.
+
+    Memory.  A table holds at most one view, so at most
+    ``TURN_TABLE_SIZE`` = 64 views are alive.  Each keeps its rows alive
+    and holds per row about bits/8 + 45 bytes (74 measured at 50 digits):
+    the worst case is 64 views of the largest supports, some 5 GB for
+    ``measures.MAX_BOX_SUPPORT`` = 2**20 rows each, 4.7 MB for 1,000.
     """
 
-    __slots__ = ("dim", "bits", "_den", "_keys", "_opaque", "_turns")
+    __slots__ = ("dim", "bits", "_den", "_keys", "_opaque", "_turns", "_last")
 
     def __init__(self, module: FrequencyModule, t: RealLike):
-        products = [_generator_product(g.symbolic, t) for g in module.generators]
-        den = math.lcm(*(q.denominator for p in products for q in p.terms.values()))
-        tags = sorted({k for p in products for k in p.terms} - {PI_KEY})
-        opaque = [k for k in tags if symbol_kind(k) == "opaque"]
-        columns = [PI_KEY, *opaque, *(k for k in tags if symbol_kind(k) != "opaque")]
-        keys = [[int(p.terms.get(k, 0) * den) for k in columns] for p in products]
         self.dim = module.dim
         self.bits = mp.mp.prec + TURN_GUARD_BITS
+        if isinstance(t, SymbolicReal):
+            products = [_generator_product(g.symbolic, t) for g in module.generators]
+            terms = [{k: (q.numerator, q.denominator) for k, q in p.terms.items()} for p in products]
+            turns = [_fixed_turn(p.approx, self.bits) for p in products]
+        else:
+            n, m, pi = _plain_ratio(t)
+            terms = _plain_terms(module, n, m, pi)
+            turns = _plain_turns(module, n, m, pi, self.bits)
+        den = math.lcm(*(b for p in terms for _, b in p.values()))
+        tags = sorted({k for p in terms for k in p} - {PI_KEY})
+        opaque = [k for k in tags if symbol_kind(k) == "opaque"]
+        columns = [PI_KEY, *opaque, *(k for k in tags if symbol_kind(k) != "opaque")]
+        keys = [[a * (den // b) for a, b in (p.get(k, (0, 1)) for k in columns)] for p in terms]
         self._den = den
         self._keys = np.array(keys, dtype=object)
         self._opaque = len(opaque)
-        self._turns = np.array([_fixed_turn(p.approx, self.bits) for p in products], dtype=object)
+        self._turns = np.array(turns, dtype=object)
         for a in (self._keys, self._turns):
             a.setflags(write=False)  # shared by every caller through the cache
+        self._last: _RowView | None = None
 
-    def _rows(self, rows):
-        """(coordinates, pi keys, has an opaque key, has another non-pi key)."""
+    def _view(self, rows) -> _RowView:
+        view = self._last
+        if view is not None and view.rows is rows:
+            return view
         c = np.array(rows, dtype=object).reshape(-1, self.dim)
         keys = c @ self._keys
         nonzero = keys[:, 1:] != 0
         opaque = nonzero[:, : self._opaque].any(axis=1)
-        rest = nonzero[:, self._opaque :].any(axis=1)
-        return c, keys[:, 0], opaque, rest
+        numeric = opaque | nonzero[:, self._opaque :].any(axis=1)
+        num = keys[:, 0] % (2 * self._den)
+        if numeric.any():
+            num[numeric] = (c[numeric] @ self._turns) % (1 << self.bits)
+        view = _RowView(rows, opaque, numeric, num)
+        if type(rows) is tuple:
+            self._last = view
+        return view
 
-    def _fixed(self, c: np.ndarray) -> list[int]:
-        """The rows' fixed-point turns in [0, 2**bits)."""
-        return ((c @ self._turns) % (1 << self.bits)).tolist()
+    def _folded(self, view: _RowView) -> list[float]:
+        """Each row's turn folded into (-1/2, 1/2], rounded once to a float."""
+        one, den, two_den = 1 << self.bits, self._den, 2 * self._den
+        return [
+            (u - one if 2 * u > one else u) / one if numeric else (u - two_den if u > den else u) / two_den
+            for numeric, u in zip(view.numeric.tolist(), view.num.tolist())
+        ]
 
     def exact(self, rows) -> np.ndarray:
         """Whether each row's product is decided exactly (no opaque term)."""
-        return ~self._rows(rows)[2]
+        return ~self._view(rows).opaque
 
     def in_two_pi_z(self, rows, tol: float = 1e-12) -> np.ndarray:
         """Whether each row's lambda*t is an integer multiple of 2*pi: exact
         from the keys, or, with an opaque term, whether the turn lies within
         ``tol`` of an integer."""
-        c, pi, opaque, rest = self._rows(rows)
-        out = ~opaque & ~rest & (pi % (2 * self._den) == 0)
-        if opaque.any():
+        require_tolerance(tol)
+        view = self._view(rows)
+        out = ~view.numeric & (view.num == 0)
+        if view.opaque.any():
             one = 1 << self.bits
-            limit = Fraction(tol) * one if math.isfinite(tol) else tol
-            out[opaque] = [min(u, one - u) < limit for u in self._fixed(c[opaque])]
+            p, q = tol.as_integer_ratio()
+            u = view.num[view.opaque]
+            out[view.opaque] = np.minimum(u, one - u) < -((-p << self.bits) // q)  # ceil(tol * one)
         return out
 
     def turns(self, rows, folded: bool = False) -> list[Fraction | float]:
         """lambda*t/(2*pi) mod 1 per row: an exact Fraction when the product
         is a rational multiple of pi, else a float rounded from the
         fixed-point turn.  ``folded`` maps the turns into (-1/2, 1/2]."""
-        c, pi, opaque, rest = self._rows(rows)
-        numeric = (opaque | rest).tolist()
-        fixed = self._fixed(c) if any(numeric) else None
-        one, two_den = 1 << self.bits, 2 * self._den
+        view = self._view(rows)
+        one, den, two_den = 1 << self.bits, self._den, 2 * self._den
         out: list[Fraction | float] = []
-        for k, num in enumerate(numeric):
-            if num:
-                u = fixed[k]
+        for numeric, u in zip(view.numeric.tolist(), view.num.tolist()):
+            if numeric:
                 out.append((u - one if folded and 2 * u > one else u) / one)
             else:
-                q = Fraction(pi[k], two_den) % 1
-                out.append(q - 1 if folded and 2 * q > 1 else q)
+                out.append(Fraction(u - two_den if folded and u > den else u, two_den))
         return out
 
     def chords(self, rows) -> np.ndarray:
         """|e^{i*lambda*t} - 1| = 2|sin(lambda*t/2)| per row, exactly 0 for
         periodic products."""
-        turns = self.turns(rows, folded=True)
-        return np.array([2.0 * abs(math.sin(math.pi * float(u))) for u in turns], dtype=np.float64)
+        view = self._view(rows)
+        if view.chords is None:
+            view.chords = np.array([2.0 * abs(math.sin(math.pi * u)) for u in self._folded(view)])
+            view.chords.setflags(write=False)
+        return view.chords
 
     def phases(self, rows) -> list:
         """e^{i*lambda*t} per row as a coefficient, exact on quarter turns."""
-        return [phase_from_turn(u) for u in self.turns(rows, folded=True)]
+        view = self._view(rows)
+        two_den = 2 * self._den
+        out = []
+        for numeric, u, x in zip(view.numeric.tolist(), view.num.tolist(), self._folded(view)):
+            if numeric:
+                out.append(phase_from_turn(x))
+            elif 4 * u % two_den == 0:
+                out.append(quarter_phase(4 * u // two_den))
+            else:
+                out.append(phase_from_turn(u / two_den))
+        return out
 
 
 def turn_table(module: FrequencyModule, t: RealLike) -> TurnTable:
-    """The :class:`TurnTable` of a module and a shift.
+    """The :class:`TurnTable` of a module and a shift; a float shift must
+    be finite.
 
     Tables are cached, keyed on the module, the shift and the working
     precision, for the ``TURN_TABLE_SIZE`` most recent pairs: a verdict, a
     projection and an invariance check over the same shifts share them.
     """
+    require_finite_shift(t)
     return _cached_turn_table(module, t, mp.mp.prec)
 
 
@@ -499,6 +642,8 @@ def in_two_pi_z(freq: Frequency, t: RealLike, tol: float = 1e-12) -> bool:
 
 def sub_real(t: RealLike, s: RealLike) -> RealLike:
     """t - s, staying exact when both operands share an exact type."""
+    require_finite_shift(t)
+    require_finite_shift(s)
     if isinstance(t, PiTimes) and isinstance(s, PiTimes):
         return PiTimes(t.factor - s.factor)
     return as_fraction(t) - as_fraction(s)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ap import APFunction
 from .errors import InputError
-from .frequencies import Frequency, require_same_module, turn_table
+from .frequencies import Frequency, require_same_module, require_tolerance, turn_table
 from .measures import FSMeasure, PSD_TOL
 from .scalars import Coeff, EC_ZERO, RealLike, c_add, c_conj, c_mul
 
@@ -82,6 +82,7 @@ def unitarity_check(mu: FSMeasure, basis, t: RealLike, tol: float = 1e-12) -> Un
     lambda_i - lambda_j, so its magnitude is exactly the moment-invariance
     violation |mu_hat(delta)| |e^{i delta t} - 1|.
     """
+    require_tolerance(tol)
     basis = tuple(basis)
     # The basis Gram matrix is a principal submatrix of a clique block the
     # measure's construction already checked, so membership is all to check.

@@ -55,10 +55,13 @@ nonzero moment.  ``uniqueness_verdict`` decides whether some shift
 forces each moment to vanish; when every nonzero frequency is killed the
 only surviving moment data is the Haar measure's.  Pushforwards,
 invariance reports, projections and verdicts take every phase of a
-shift from one :class:`bohrlab.frequencies.TurnTable` pass over the
-support's coordinate rows: exact from integer keys for rational, pi and
-square-root products, numeric against ``tol`` from fixed-point turns
-when an opaque symbol is involved.
+shift from its :class:`bohrlab.frequencies.TurnTable`, which evaluates
+the support's coordinate rows once and keeps that integer view: the
+projection, invariance report and verdict of a shift over one support
+share one pass.  Decisions are exact from integer keys for rational, pi
+and square-root products, and numeric against ``tol`` from fixed-point
+turns when an opaque symbol is involved; ``tol`` must be finite and
+nonnegative, and a float shift finite.
 
 ``TorusDensity`` realizes moment data concretely as a trigonometric
 density on the torus (d <= 2), giving an independent, set-level view of
@@ -83,7 +86,9 @@ from .errors import InputError
 from .frequencies import (
     Frequency,
     FrequencyModule,
+    require_finite_shift,
     require_same_module,
+    require_tolerance,
     turn_table,
 )
 from .scalars import (
@@ -603,7 +608,7 @@ class FSMeasure:
     def pushforward(self, t: RealLike) -> "FSMeasure":
         """Image under translation by iota(t): mu_hat(lambda) *= e^{i*lambda*t}."""
         m = len(self._exact)
-        phases = turn_table(self.module, t).phases(self.support.rows[m + 1 :])
+        phases = turn_table(self.module, t).phases(self.support.rows)[m + 1 :]
         half = [c_mul(p, v) for p, v in zip(phases, self._values()[m + 1 :])]
         mu = FSMeasure.__new__(FSMeasure)
         return mu._build(self.module, self.support, *_coeff_half(half), False)
@@ -614,8 +619,7 @@ class FSMeasure:
 
         The worst violation is the first largest one, shifts in order and
         the support in order within a shift."""
-        if tol < 0:
-            raise InputError("tolerance must be nonnegative")
+        require_tolerance(tol)
         rows = self.support.rows
         sizes = self._moment_sizes()
         worst, worst_f, worst_t = 0.0, None, None
@@ -634,6 +638,7 @@ class FSMeasure:
         The result is Hermitian where both frequencies of a pair +-lambda are
         killed or neither is; a pair killed on one side only must carry a
         zero moment (exactly zero, or within ``HERMITIAN_TOL`` for a float)."""
+        require_tolerance(tol)
         rows = self.support.rows
         killed = np.zeros(len(rows), dtype=bool)
         for t in shifts:
@@ -692,6 +697,10 @@ def uniqueness_verdict(
     The per-frequency decision is exact for rational/pi/square-root data
     and numeric at ``tol`` otherwise.
     """
+    require_tolerance(tol)
+    shifts = list(shifts)
+    for t in shifts:
+        require_finite_shift(t)  # the pass below stops once every moment is killed
     support = check_symmetric_support(support)
     require_same_module(module, support.module)
     rows = support.rows

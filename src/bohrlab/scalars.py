@@ -102,7 +102,8 @@ class ExactComplex:
         return self.re == 0 and self.im == 0
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self.re.numerator / self.re.denominator, self.im.numerator / self.im.denominator)
 
     def __abs__(self) -> float:
         return abs(complex(self))

@@ -258,3 +258,24 @@ def test_box_support_is_bounded():
         box_support(module, 512)  # 1025**2 frequencies
     with pytest.raises(InputError, match="limit"):
         box_support(FrequencyModule.make(1, "sqrt2", "sqrt3", "pi"), 100_000)
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def test_exact_complex_converts_like_float_of_each_part(rng):
+    parts = [Fraction(int(n), int(d)) for n, d in zip(rng.integers(-10**12, 10**12, 300), rng.integers(1, 10**12, 300))]
+    parts += [Fraction(int(n), 2**int(k)) for n, k in zip(rng.integers(-2**62, 2**62, 50), rng.integers(0, 1100, 50))]
+    parts += [
+        Fraction(0),
+        Fraction(3**700 + 1, 3**699),  # huge terms, a ratio near 3
+        Fraction(-(7**500), 7**500 * 2**1060 + 1),  # a subnormal result
+        Fraction(1, 3 * 2**1075),  # below the smallest subnormal: 0.0
+        Fraction(2**1024 - 2**971, 1),  # the largest float
+        Fraction(2**2000 + 3, 2**978 + 1),
+    ]
+    for re, im in zip(parts, parts[::-1]):
+        assert _bits(complex(ExactComplex(re, im))) == _bits(complex(float(re), float(im)))
+    with pytest.raises(OverflowError):
+        complex(ExactComplex(Fraction(2**1024), Fraction(0)))

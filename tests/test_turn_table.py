@@ -2,22 +2,36 @@
 of tests/util.py, on random supports over modules with rational, pi,
 square-root and opaque generators, under every shift kind."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from bohrlab import (
+    APFunction,
     FSMeasure,
     FrequencyModule,
     Generator,
+    InputError,
     PiTimes,
     SymbolicReal,
+    iota,
     unitarity_check,
     uniqueness_verdict,
 )
+from bohrlab import frequencies
+from bohrlab.fleischhack import (
+    C0Function,
+    ExtendedFunction,
+    RealPoint,
+    RPart,
+    extension_agreement_check,
+    r_part_invariance_verdict,
+)
 from bohrlab.frequencies import chord_of, in_two_pi_z, phase_of, turn_of, turn_table
-from bohrlab.measures import check_symmetric_support
+from bohrlab.hilbert import translation_matrix
+from bohrlab.measures import box_support, check_symmetric_support
 from bohrlab.scalars import EC_ONE, EC_ZERO
 from util import (
     random_psd_measure,
@@ -102,17 +116,38 @@ def _typed(values):
     return [(type(v), v) for v in values]
 
 
-def _check_rows(module, support, t):
+def _readings(table, rows):
+    return {
+        **{tol: table.in_two_pi_z(rows, tol).tolist() for tol in TOLS},
+        "exact": table.exact(rows).tolist(),
+        "turns": _typed(table.turns(rows)),
+        "folded": _typed(table.turns(rows, folded=True)),
+        "chords": table.chords(rows).tolist(),
+        "phases": _typed(table.phases(rows)),
+    }
+
+
+def _reference_readings(support, t):
+    return {
+        **{tol: [reference_in_two_pi_z(f, t, tol) for f in support] for tol in TOLS},
+        "exact": [reference_exact(reference_product(f, t)) for f in support],
+        "turns": _typed([reference_turn(f, t) for f in support]),
+        "folded": _typed([reference_turn(f, t, folded=True) for f in support]),
+        "chords": [reference_chord(f, t) for f in support],
+        "phases": _typed([reference_phase(f, t) for f in support]),
+    }
+
+
+def _check_rows(module, support, t, oracle_bits=0):
+    """The table's readings of the support's own rows (kept in the table's
+    view) and of a fresh list of them against the oracle, which runs with
+    ``oracle_bits`` more bits of precision than the table."""
     table = turn_table(module, t)
-    rows = [f.coords for f in support]
-    for tol in TOLS:
-        assert table.in_two_pi_z(rows, tol).tolist() == [reference_in_two_pi_z(f, t, tol) for f in support]
-    assert table.exact(rows).tolist() == [reference_exact(reference_product(f, t)) for f in support]
-    assert _typed(table.turns(rows)) == _typed([reference_turn(f, t) for f in support])
-    folded = [reference_turn(f, t, folded=True) for f in support]
-    assert _typed(table.turns(rows, folded=True)) == _typed(folded)
-    assert table.chords(rows).tolist() == [reference_chord(f, t) for f in support]
-    assert _typed(table.phases(rows)) == _typed([reference_phase(f, t) for f in support])
+    kept, fresh = _readings(table, support.rows), _readings(table, list(support.rows))
+    with mp.workprec(mp.mp.prec + oracle_bits):
+        expected = _reference_readings(support, t)
+    assert kept == expected
+    assert fresh == expected
 
 
 def _reference_verdict(support, shifts, tol):
@@ -251,3 +286,219 @@ def test_symbolic_product_is_summed_per_generator():
     assert reference_exact(reference_product(g, t))
     assert turn_of(g, t) == reference_turn(g, t)
     assert phase_of(g, t) == reference_phase(g, t)
+
+
+# ------------------------------------------------------------------
+# the integer path for rational, float and pi shifts
+# ------------------------------------------------------------------
+
+EXTREME_SHIFTS = (
+    5e-324,  # 2**-1074, the least subnormal
+    -0.0,
+    1e308,
+    -(2.0**-1022),
+    -1.7976931348623157e308,
+    Fraction(3**126 + 1, 5**86 + 2),  # 200-bit numerator and denominator
+    Fraction(-(2**199 + 7), 3**126),
+    PiTimes(Fraction(10**40 + 1, 3)),
+    PiTimes(Fraction(-(2**200 + 1), 7)),
+)
+
+
+def _extreme_support(module):
+    d = module.dim
+    rows = [
+        (2**62,) + (0,) * (d - 1),
+        (-(2**62),) + (1,) * (d - 1),
+        (2**100,) + (-3,) * (d - 1),
+        (1,) * (d - 1) + (-(2**100),),
+        (5,) * d,
+    ]
+    freqs = {module.zero()}
+    for c in rows:
+        f = module.frequency(*c)
+        freqs |= {f, -f}
+    return check_symmetric_support(freqs)
+
+
+def _within(got, expected, eps):
+    """Readings equal, except that float turns (mod 1), chords and float
+    phases may differ by ``eps``."""
+    for key, values in got.items():
+        for a, b in zip(values, expected[key]):
+            if isinstance(key, float) or key == "exact":
+                assert a == b
+            elif key == "chords":
+                assert abs(a - b) <= eps
+            elif a[0] is not b[0]:
+                raise AssertionError(f"{key}: {a!r} against {b!r}")
+            elif a[0] is float:
+                assert min(abs(a[1] - b[1]), 1 - abs(a[1] - b[1])) <= eps
+            elif a[0] is complex:
+                assert abs(a[1] - b[1]) <= eps
+            else:
+                assert a == b
+
+
+def test_extreme_plain_shifts_match_the_oracle(modules):
+    # |lambda*t| reaches 2**1127 here, so the oracle runs with 1,500 more
+    # bits.  The table keeps the working precision as a fixed-point turn:
+    # within sum|c_k| + 1 < 2**102 units of 2**-bits, bits = 233, of the
+    # oracle's, so a tiny turn such as 5e-324 * 2**100 reads as 0.
+    for module in modules:
+        support = _extreme_support(module)
+        for t in EXTREME_SHIFTS:
+            table = turn_table(module, t)
+            got = _readings(table, support.rows)
+            with mp.workprec(mp.mp.prec + 1500):
+                expected = _reference_readings(support, t)
+            _within(got, expected, 2.0**-130)
+            assert _readings(table, list(support.rows)) == got
+
+
+def test_a_precision_switch_rebuilds_the_turn_constants(modules, rng):
+    shifts = _plain_shifts(rng) + [1e300, Fraction(3**126 + 1, 5**86 + 2)]
+    for module in (modules[3], modules[7], modules[9]):
+        support = _random_support(module, rng)
+        for dps in (None, 80, 30, None):
+            with mp.workdps(dps or mp.mp.dps):
+                for t in shifts:
+                    _check_rows(module, support, t, oracle_bits=1200)
+
+
+def _near_two_pi():
+    decimal = mp.nstr(2 * mp.pi + mp.mpf("1e-20"), 50)
+    return FrequencyModule((Generator("x", decimal, Fraction(1)), Generator.rational(1)))
+
+
+def test_two_tolerances_on_one_table_and_support():
+    module = _near_two_pi()
+    support = box_support(module, 3)
+    table = turn_table(module, 1)
+    for tol in (1e-12, 1e-30, 1e-12, 0.0, 1e-30):
+        assert table.in_two_pi_z(support.rows, tol).tolist() == [reference_in_two_pi_z(f, 1, tol) for f in support]
+    # x*1 is within 1e-12 of 2*pi but not within 1e-30
+    f = module.frequency(1, 0)
+    assert in_two_pi_z(f, 1, 1e-12) and not in_two_pi_z(f, 1, 1e-30)
+
+
+def test_alternating_supports_on_one_table(modules, rng):
+    for module in modules:
+        supports = [_random_support(module, rng), _big_support(module), _random_support(module, rng, radius=1)]
+        for t in (Fraction(5, 7), 0.731, PiTimes(Fraction(1, 3)), _symbolic("e")):
+            table = turn_table(module, t)
+            expected = [_reference_readings(s, t) for s in supports]
+            for k in (0, 1, 0, 2, 1, 1, 2, 0):
+                assert turn_table(module, t) is table
+                assert _readings(table, supports[k].rows) == expected[k]
+
+
+def test_results_cannot_be_mutated_into_a_later_result():
+    module = FrequencyModule.make(1, "sqrt2", "e")
+    support = box_support(module, 1)
+    table = turn_table(module, PiTimes(Fraction(1, 2)))
+    rows = support.rows
+    before = _readings(table, rows)
+    table.in_two_pi_z(rows)[:] = True
+    table.exact(rows)[:] = False
+    table.turns(rows).clear()
+    table.phases(rows).clear()
+    chords = table.chords(rows)
+    with pytest.raises(ValueError):
+        chords[0] = 1.0
+    chords.copy()[:] = 1.0
+    assert _readings(table, rows) == before
+
+
+def test_plain_shifts_run_no_mpmath_after_warm_up(rng, monkeypatch):
+    module = FrequencyModule.make(1, "sqrt2", "e")
+    support = box_support(module, 2)
+    mu = random_psd_measure(module, support, rng)
+    basis = [module.zero(), module.frequency(1, 0, 0), module.frequency(0, 1, 1)]
+    for t in (0.5, PiTimes(Fraction(1, 4))):
+        turn_table(module, t)  # the module's turn constants at this precision
+
+    class NoMpmath:
+        mp = mp.mp  # the precision is read, not computed with
+
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath.{name} ran")
+
+    def no_fixed_turn(*args):
+        raise AssertionError("_fixed_turn ran")
+
+    monkeypatch.setattr(frequencies, "_fixed_turn", no_fixed_turn)
+    monkeypatch.setattr(frequencies, "mp", NoMpmath())
+    for _ in range(40):
+        shifts = [
+            float(rng.uniform(-3, 3)),
+            Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 50))),
+            PiTimes(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))),
+        ]
+        uniqueness_verdict(module, support, shifts)
+        mu.project_to_invariant(shifts).is_invariant(shifts)
+        unitarity_check(mu, basis, shifts[0])
+        mu.pushforward(shifts[2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_shifts_are_input_errors(bad, rng):
+    module = FrequencyModule.make(1, "sqrt2")
+    support = box_support(module, 1)
+    mu = random_psd_measure(module, support, rng)
+    basis = [module.zero(), module.frequency(1, 0)]
+    f = module.frequency(1, 1)
+    ap = APFunction(module, {f: 1})
+    calls = [
+        lambda: turn_table(module, bad),
+        lambda: turn_of(f, bad),
+        lambda: phase_of(f, bad),
+        lambda: chord_of(f, bad),
+        lambda: in_two_pi_z(f, bad),
+        lambda: iota(module, bad),
+        lambda: mu.is_invariant([bad]),
+        lambda: mu.project_to_invariant([bad]),
+        lambda: mu.pushforward(bad),
+        lambda: uniqueness_verdict(module, support, [bad]),
+        lambda: uniqueness_verdict(module, support, [1, bad]),  # 1 kills every moment
+        lambda: unitarity_check(mu, basis, bad),
+        lambda: translation_matrix(bad, basis),
+        lambda: ap.translate(bad),
+        lambda: ap.continuity_modulus(bad, 1),
+        lambda: ap.continuity_modulus(0.5, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="the shift must be finite, got"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_bad_tolerances_are_input_errors(tol, rng):
+    module = FrequencyModule.make(1, "sqrt2", "e")
+    support = box_support(module, 1)
+    mu = random_psd_measure(module, support, rng)
+    basis = [module.zero(), module.frequency(1, 0, 0)]
+    t = PiTimes(Fraction(1, 2))
+    r_part = RPart(C0Function([0, 1, 2], [0, 1, 0]))
+    calls = [
+        lambda: r_part_invariance_verdict(r_part, 1, tol),
+        lambda: extension_agreement_check(1, RealPoint(0), ExtendedFunction.pure_c0(r_part.density, module), tol),
+        lambda: turn_table(module, t).in_two_pi_z(support.rows, tol),
+        lambda: in_two_pi_z(module.frequency(0, 0, 1), t, tol),
+        lambda: uniqueness_verdict(module, support, [t], tol),
+        lambda: uniqueness_verdict(module, support, [], tol),
+        lambda: mu.project_to_invariant([t], tol),
+        lambda: mu.is_invariant([t], tol),
+        lambda: unitarity_check(mu, basis, t, tol),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="tolerance must be"):
+            call()
+
+
+def test_zero_tolerance_is_accepted():
+    module = FrequencyModule.make(1, "sqrt2", "e")
+    support = box_support(module, 1)
+    for tol in (0.0, -0.0, 0):
+        verdict = uniqueness_verdict(module, support, [PiTimes(Fraction(1, 2))], tol)
+        assert verdict.killers == _reference_verdict(support, [PiTimes(Fraction(1, 2))], tol)[0]
