@@ -23,19 +23,21 @@ turns frac(g_k*t/(2*pi)) held with the working precision plus
 ``TURN_GUARD_BITS`` bits give the numeric turn of everything else, reduced
 mod 1 by exact integer wrap-around.
 
-A rational, float or pi-multiple shift is t = n/m or t = (n/m)*pi in
-integers (a float is the dyadic rational it holds), so its table is
-integer arithmetic alone: the keys are the generators' term coefficients
-times n/m, and each fixed-point turn is round(C_k*n / (m*2**E)) from a
-per-module constant C_k = round(g_k/(2*pi) * 2**(bits + E)), or
-round(g_k/2 * 2**(bits + E)) for pi shifts.  E is t's numerator size
-rounded up to 64 bits, and the constants are computed in mpmath on first
-use for each module, precision and E.  Only a ``SymbolicReal`` shift
-multiplies symbolic values and divides by 2*pi in mpmath per table.
+The shift is split into terms (tag, n, m), t = sum_j (n_j/m_j) * s_j:
+one term for an int, a Fraction, a float (the dyadic rational it holds)
+or a ``PiTimes``, one per entry of a ``SymbolicReal``.  Each product
+g_k*s_j takes its tag from one rule: 1*s = s and g*1 = g, a pi factor
+gives (tag)*pi, sqrtN*sqrtN = N, and any other pair an opaque tag naming
+both.  Each fixed-point turn is the sum over the terms of
+round(C*n / (m*2**E)), from a constant C = round(g_k*s/(2*pi) *
+2**(bits + E)) (g_k/2 for s = pi) cached per module, precision, E and
+tag, E being n's size rounded up to 64 bits.  The constants are computed
+in mpmath on first use; a table itself is integer arithmetic alone.  A
+term whose tag has no ``scalars.symbol_value`` is an ``InputError``.
 
 A table evaluates a list of rows once, into an integer view that all its
-readers share; see ``TurnTable``.  ``turn_of``, ``phase_of``,
-``chord_of`` and ``in_two_pi_z`` are one-row calls into the same table.
+readers share; see ``TurnTable``.  ``turn_of`` is a one-row call into the
+same table.
 """
 
 from __future__ import annotations
@@ -359,83 +361,58 @@ def require_tolerance(tol) -> None:
         raise InputError("tolerance must be nonnegative")
 
 
-def _generator_product(g: SymbolicReal, t: SymbolicReal) -> SymbolicReal:
-    """The product g*t of one generator's one-term value g with a symbolic
-    shift.
-
-    A product that leaves the exactly decidable class is an opaque tag
-    carrying g's coefficient and the high-precision numeric value, so the
-    product stays linear in g and equal tags from different generators add
-    like any other term.
-    """
-    ((tag, q),) = g.terms.items()
-    if tag == RATIONAL_KEY:
-        return t.scaled(q)
-    if all(k == RATIONAL_KEY for k in t.terms):
-        return g.scaled(t.terms.get(RATIONAL_KEY, Fraction(0)))
-    if set(t.terms) == {PI_KEY}:
-        return g.scaled(t.terms[PI_KEY]).times_pi()
-    if tag == PI_KEY:
-        return t.scaled(q).times_pi()
-    if set(t.terms) == {tag} and tag.startswith("sqrt") and tag[4:].isdigit():
-        return SymbolicReal.rational(q * t.terms[tag] * int(tag[4:]))
-    opaque = "?(" + tag + ")x(" + "|".join(sorted(t.terms)) + ")"
-    return SymbolicReal({opaque: q}, g.approx * t.approx)
-
-
-def _fixed_point(value: mp.mpf, bits: int, pi: bool = False) -> int:
-    """round(value/(2*pi) * 2**bits), or round(value/2 * 2**bits) when
-    ``pi``: the turn of value (of value*pi) over 2**bits, not reduced."""
-    with mp.workprec(bits + max(int(mp.mag(value)), 0) + 16):
-        return int(mp.nint(mp.ldexp(value / 2 if pi else value / (2 * mp.pi), bits)))
-
-
-def _fixed_turn(value: mp.mpf, bits: int) -> int:
-    """frac(value/(2*pi)) as an integer numerator over 2**bits."""
-    return _fixed_point(value, bits) % (1 << bits) if value else 0
-
-
-def _plain_ratio(t: RealLike) -> tuple[int, int, bool]:
-    """(n, m, pi) for a shift that is not symbolic: t = n/m, or t = (n/m)*pi
-    when ``pi``; a float is the dyadic rational it holds."""
-    if isinstance(t, PiTimes):
-        return t.factor.numerator, t.factor.denominator, True
+def _shift_terms(t: RealLike) -> list[tuple[str, int, int]]:
+    """t as terms (tag, n, m), t = sum of n/m times the tag's value: one
+    term for an int, a Fraction, a float (the dyadic rational it holds) or
+    a ``PiTimes``, one per entry of a ``SymbolicReal``."""
+    if isinstance(t, SymbolicReal):
+        return [(tag, q.numerator, q.denominator) for tag, q in t.terms.items()]
     if isinstance(t, float):
-        return (*t.as_integer_ratio(), False)
-    q = t if isinstance(t, (int, Fraction)) else as_fraction(t)
-    return q.numerator, q.denominator, False
+        return [(RATIONAL_KEY, *t.as_integer_ratio())]
+    tag, q = (PI_KEY, t.factor) if isinstance(t, PiTimes) else (RATIONAL_KEY, as_fraction(t))
+    return [(tag, q.numerator, q.denominator)]
 
 
-def _plain_terms(module: FrequencyModule, n: int, m: int, pi: bool) -> list[dict]:
-    """The terms of each product g_k*t as tag -> (numerator, denominator)."""
-    if not n:
-        return [{} for _ in module.generators]
-    out = []
-    for g in module.generators:
-        ((tag, q),) = g.symbolic.terms.items()
-        if pi:
-            tag = PI_KEY if tag == RATIONAL_KEY else "(" + tag + ")*pi"
-        a, b = q.numerator * n, q.denominator * m
-        k = math.gcd(a, b)
-        out.append({tag: (a // k, b // k)})
-    return out
+def _product_tag(g: str, s: str) -> tuple[str, int]:
+    """The tag of g*s by the rule of the module docstring, with the integer
+    its coefficient gains (N for sqrtN*sqrtN)."""
+    if g == RATIONAL_KEY:
+        return s, 1
+    if s == RATIONAL_KEY:
+        return g, 1
+    if s == PI_KEY:
+        return "(" + g + ")*pi", 1
+    if g == PI_KEY:
+        return "(" + s + ")*pi", 1
+    if g == s and g.startswith("sqrt") and g[4:].isdigit():
+        return RATIONAL_KEY, int(g[4:])
+    return "?(" + g + ")x(" + s + ")", 1
+
+
+def _fixed_point(g: mp.mpf, tag: str, bits: int) -> int:
+    """round(g*s/(2*pi) * 2**bits), s the value of the symbol ``tag`` (g/2
+    when s is pi): the turn of g*s over 2**bits, not reduced.  s and the
+    product are taken at this precision with 16 bits to spare, as
+    |s/(2*pi)| < 2**(mag(s) - 2)."""
+    s = symbol_value(tag)
+    if s is None:
+        raise InputError(f"the shift has a term in {tag!r}, which has no known value")
+    with mp.workprec(bits + max(int(mp.mag(g)), 0) + max(int(mp.mag(s)) - 2, 0) + 16):
+        x = g / 2 if tag == PI_KEY else g * symbol_value(tag) / (2 * mp.pi)
+        return int(mp.nint(mp.ldexp(x, bits)))
 
 
 @lru_cache(maxsize=TURN_TABLE_SIZE)
-def _turn_constants(module: FrequencyModule, bits: int, extra: int, pi: bool) -> tuple[int, ...]:
-    """Each generator's turn per unit shift, g_k/(2*pi) (g_k/2 for pi
-    shifts), over 2**(bits + extra)."""
-    return tuple(_fixed_point(g.mp_value, bits + extra, pi) for g in module.generators)
-
-
-def _plain_turns(module: FrequencyModule, n: int, m: int, pi: bool, bits: int) -> list[int]:
-    """round(frac(g_k*t/(2*pi)) * 2**bits) per generator, for t = n/m (times
-    pi when ``pi``), in integer arithmetic from the cached constants."""
-    if not n:
-        return [0] * module.dim
-    extra = -(-n.bit_length() // _NUMERATOR_STEP) * _NUMERATOR_STEP
-    den = m << extra
-    return [(2 * c * n + den) // (2 * den) % (1 << bits) for c in _turn_constants(module, bits, extra, pi)]
+def _term_products(module: FrequencyModule, bits: int, extra: int, s: str) -> tuple[tuple[str, int, int, int], ...]:
+    """Per generator g_k, the product g_k*s of one unit of the symbol s:
+    its tag, its coefficient as a numerator and a denominator, and its
+    turn constant C = round(g_k*s/(2*pi) * 2**(bits + extra))."""
+    out = []
+    for g in module.generators:
+        ((tag, q),) = g.symbolic.terms.items()
+        tag, f = _product_tag(tag, s)
+        out.append((tag, q.numerator * f, q.denominator, _fixed_point(g.mp_value, s, bits + extra)))
+    return tuple(out)
 
 
 class _RowView:
@@ -463,15 +440,16 @@ class TurnTable:
     coordinate tuples or an (n, d) integer array, and the arithmetic runs
     on Python integers, so coordinates have no size limit.
 
-    Precision.  For a plain shift (see the module docstring) the per-module
-    constant C_k is within 1/2 + 2**-15 of g_k/(2*pi) * 2**(bits + E), the
-    quotient being taken with 16 bits to spare.  As |t| <= |n| < 2**E,
-    C_k*n/(m*2**E) is then within 1/2 + 2**-15 of the exact turn of the
-    working-precision g_k times 2**bits, and the rounded turn within 1.0001
-    units, for every |t|: floats up to 1.8e308 have |n| < 2**1024, so
-    E <= 1024.  A row's turn sum c_k*turn_k is within sum|c_k| + 1 units,
-    which the ``TURN_GUARD_BITS`` = 64 guard bits absorb for sum|c_k| <
-    2**64.  A symbolic shift's turns are rounded from its mpmath products.
+    Precision.  Each constant C is within 1/2 + 2**-15 of g_k*s/(2*pi) *
+    2**(bits + E), measured against the working-precision g_k and the
+    symbol value s at bits + E bits, the product being taken with 16 bits
+    to spare.  As |n/m| <= |n| < 2**E, a term's C*n/(m*2**E) is then within
+    1/2 + 2**-15 units of 2**-bits of the turn of g_k*(n/m)*s, and its
+    rounding within 1.0001 units, for every size of n: floats up to 1.8e308
+    have |n| < 2**1024, so E <= 1024.  A shift of J terms gives turns
+    within J*1.0001 units.  A row's turn sum c_k*turn_k is then within
+    J*1.0001*sum|c_k| units, which the ``TURN_GUARD_BITS`` = 64 guard bits
+    absorb while that stays below 2**64.
 
     One pass per support.  Every reader (``exact``, ``in_two_pi_z``,
     ``turns``, ``chords``, ``phases``) reads one integer view of the rows:
@@ -496,14 +474,19 @@ class TurnTable:
     def __init__(self, module: FrequencyModule, t: RealLike):
         self.dim = module.dim
         self.bits = mp.mp.prec + TURN_GUARD_BITS
-        if isinstance(t, SymbolicReal):
-            products = [_generator_product(g.symbolic, t) for g in module.generators]
-            terms = [{k: (q.numerator, q.denominator) for k, q in p.terms.items()} for p in products]
-            turns = [_fixed_turn(p.approx, self.bits) for p in products]
-        else:
-            n, m, pi = _plain_ratio(t)
-            terms = _plain_terms(module, n, m, pi)
-            turns = _plain_turns(module, n, m, pi, self.bits)
+        terms: list[dict] = [{} for _ in module.generators]
+        turns = [0] * self.dim
+        for s, n, m in _shift_terms(t):
+            if not n:
+                continue
+            extra = -(-n.bit_length() // _NUMERATOR_STEP) * _NUMERATOR_STEP
+            unit = m << extra
+            for k, (tag, a, b, c) in enumerate(_term_products(module, self.bits, extra, s)):
+                a, b = a * n, b * m
+                r = math.gcd(a, b)
+                terms[k][tag] = (a // r, b // r)
+                turns[k] += (2 * c * n + unit) // (2 * unit)
+        turns = [u % (1 << self.bits) for u in turns]
         den = math.lcm(*(b for p in terms for _, b in p.values()))
         tags = sorted({k for p in terms for k in p} - {PI_KEY})
         opaque = [k for k in tags if symbol_kind(k) == "opaque"]
@@ -619,25 +602,6 @@ def turn_of(freq: Frequency, t: RealLike) -> Fraction | float:
     """lambda*t/(2*pi) mod 1: exact Fraction when lambda*t is a rational
     multiple of pi, else a float rounded from the fixed-point turn."""
     return turn_table(freq.module, t).turns([freq.coords])[0]
-
-
-def phase_of(freq: Frequency, t: RealLike):
-    """e^{i*lambda*t} as a coefficient, exact when the turn allows."""
-    return turn_table(freq.module, t).phases([freq.coords])[0]
-
-
-def chord_of(freq: Frequency, t: RealLike) -> float:
-    """|e^{i*lambda*t} - 1| = 2|sin(lambda*t/2)|, exactly 0 for periodic shifts."""
-    return float(turn_table(freq.module, t).chords([freq.coords])[0])
-
-
-def in_two_pi_z(freq: Frequency, t: RealLike, tol: float = 1e-12) -> bool:
-    """Whether lambda*t is an integer multiple of 2*pi.
-
-    Exact for rational/pi/squarefree-root combinations; numeric against
-    ``tol`` when opaque symbols are involved.
-    """
-    return bool(turn_table(freq.module, t).in_two_pi_z([freq.coords], tol)[0])
 
 
 def sub_real(t: RealLike, s: RealLike) -> RealLike:

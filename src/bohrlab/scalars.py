@@ -148,14 +148,16 @@ def as_float(t: RealLike) -> float:
 
 
 def as_fraction(t: RealLike) -> Fraction:
-    """Pin a real-like value to one definite rational (floats convert exactly)."""
+    """Pin a real-like value to one definite rational (floats convert
+    exactly); NaN and infinities are refused."""
     if isinstance(t, Fraction):
         return t
     if isinstance(t, int):
         return Fraction(t)
-    if isinstance(t, PiTimes):
-        return Fraction(t.value)
-    return Fraction(float(t))
+    x = as_float(t)
+    if not math.isfinite(x):
+        raise InputError(f"the value must be finite, got {t!r}")
+    return Fraction(x)
 
 
 # ------------------------------------------------------------------
@@ -264,15 +266,6 @@ class SymbolicReal:
             return SymbolicReal.zero()
         return SymbolicReal({k: v * q for k, v in self.terms.items()},
                             self.approx * _frac_to_mpf(q))
-
-    def times_pi(self) -> "SymbolicReal":
-        terms: dict[str, Fraction] = {}
-        for k, v in self.terms.items():
-            if k == RATIONAL_KEY:
-                terms[PI_KEY] = terms.get(PI_KEY, Fraction(0)) + v
-            else:
-                terms["(" + k + ")*pi"] = v  # opaque product
-        return SymbolicReal(terms, self.approx * mp.pi)
 
     def __float__(self) -> float:
         return float(self.approx)

@@ -372,3 +372,20 @@ def test_forced_standard_bounds_r_mass_and_gram(rng):
     assert rep.verdict == "ForcedStandard"
     assert rep.r_mass <= 1e-12
     assert rep.gram_identity_defect <= 1e-10
+
+
+_LINE_CALLS = {
+    "q_verdict": lambda bad: q_invariance_verdict(QMeasure.standard(M2, box_support(M2, 1)), [bad]),
+    "q_verdict_second": lambda bad: q_invariance_verdict(QMeasure.standard(M2, box_support(M2, 1)), [1, bad]),
+    "r_part_verdict": lambda bad: r_part_invariance_verdict(RPart(C0Function.hat(0, 1, 2)), bad),
+    "c0_translate": lambda bad: C0Function.hat(0, 1, 2).translate(bad),
+    "real_point": lambda bad: RealPoint(bad),
+    "theta_tilde": lambda bad: theta_tilde(bad, RealPoint(0)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", list(_LINE_CALLS))
+def test_non_finite_line_values_are_input_errors(call, bad):
+    with pytest.raises(InputError, match="must be finite, got"):
+        _LINE_CALLS[call](bad)

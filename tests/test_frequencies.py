@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bohrlab import FrequencyModule, Generator, InputError
-from bohrlab.frequencies import RELATION_BOUND, RELATION_TOL, chord_of, in_two_pi_z, turn_of
+from bohrlab.frequencies import RELATION_BOUND, RELATION_TOL, turn_of
 from bohrlab.scalars import SQUAREFREE_LIMIT, PiTimes, symbol_kind
-from util import brute_relation
+from util import brute_relation, chord_of, in_two_pi_z
 
 
 def test_coordinatewise_addition():

@@ -3,10 +3,13 @@ of tests/util.py, on random supports over modules with rational, pi,
 square-root and opaque generators, under every shift kind."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from bohrlab import (
     APFunction,
@@ -29,11 +32,14 @@ from bohrlab.fleischhack import (
     extension_agreement_check,
     r_part_invariance_verdict,
 )
-from bohrlab.frequencies import chord_of, in_two_pi_z, phase_of, turn_of, turn_table
+from bohrlab.frequencies import turn_of, turn_table
 from bohrlab.hilbert import translation_matrix
 from bohrlab.measures import box_support, check_symmetric_support
-from bohrlab.scalars import EC_ONE, EC_ZERO
+from bohrlab.scalars import EC_ONE, EC_ZERO, symbol_value
 from util import (
+    chord_of,
+    in_two_pi_z,
+    phase_of,
     random_psd_measure,
     reference_exact,
     reference_chord,
@@ -65,7 +71,7 @@ def modules():
 
 
 def _symbolic(tag, q=1):
-    return SymbolicReal.of_symbol(tag, Fraction(q), mp.sqrt(int(tag[4:])) if tag.startswith("sqrt") else +getattr(mp, tag))
+    return SymbolicReal.of_symbol(tag, Fraction(q), symbol_value(tag))
 
 
 def _plain_shifts(rng):
@@ -288,8 +294,16 @@ def test_symbolic_product_is_summed_per_generator():
     assert phase_of(g, t) == reference_phase(g, t)
 
 
+@pytest.mark.parametrize("tag", ["x", "(sqrt2)*pi", "?(e)x(sqrt2)", "sqrt1"])
+def test_a_shift_term_without_a_known_value_is_an_input_error(tag):
+    module = FrequencyModule.make(1, "sqrt2")
+    t = SymbolicReal({"sqrt2": Fraction(1), tag: Fraction(2, 3)}, mp.mpf(3))
+    with pytest.raises(InputError, match=re.escape(repr(tag))):
+        turn_table(module, t)
+
+
 # ------------------------------------------------------------------
-# the integer path for rational, float and pi shifts
+# the integer turn path, shared by every shift kind
 # ------------------------------------------------------------------
 
 EXTREME_SHIFTS = (
@@ -410,13 +424,13 @@ def test_results_cannot_be_mutated_into_a_later_result():
     assert _readings(table, rows) == before
 
 
-def test_plain_shifts_run_no_mpmath_after_warm_up(rng, monkeypatch):
+def test_every_shift_kind_runs_no_mpmath_after_warm_up(rng, monkeypatch):
     module = FrequencyModule.make(1, "sqrt2", "e")
     support = box_support(module, 2)
     mu = random_psd_measure(module, support, rng)
     basis = [module.zero(), module.frequency(1, 0, 0), module.frequency(0, 1, 1)]
-    for t in (0.5, PiTimes(Fraction(1, 4))):
-        turn_table(module, t)  # the module's turn constants at this precision
+    for t in (0.5, PiTimes(Fraction(1, 4)), _symbolic("sqrt2"), _symbolic("sqrt3"), _symbolic("e")):
+        turn_table(module, t)  # the module's turn constants per tag at this precision
 
     class NoMpmath:
         mp = mp.mp  # the precision is read, not computed with
@@ -424,21 +438,30 @@ def test_plain_shifts_run_no_mpmath_after_warm_up(rng, monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"mpmath.{name} ran")
 
-    def no_fixed_turn(*args):
-        raise AssertionError("_fixed_turn ran")
+    def no_fixed_point(*args):
+        raise AssertionError("_fixed_point ran")
 
-    monkeypatch.setattr(frequencies, "_fixed_turn", no_fixed_turn)
+    monkeypatch.setattr(frequencies, "_fixed_point", no_fixed_point)
     monkeypatch.setattr(frequencies, "mp", NoMpmath())
     for _ in range(40):
+        q, r = (Fraction(int(rng.integers(-50, 51)) or 1, int(rng.integers(1, 50))) for _ in range(2))
+        symbolic = [
+            _symbolic("sqrt2", q),
+            _symbolic("e", r),
+            SymbolicReal({"sqrt3": q, "e": r}, q * mp.sqrt(3) + r * mp.e),
+        ]
         shifts = [
+            *symbolic,  # first, so that the verdict reads them before its early exit
             float(rng.uniform(-3, 3)),
             Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 50))),
             PiTimes(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))),
         ]
         uniqueness_verdict(module, support, shifts)
         mu.project_to_invariant(shifts).is_invariant(shifts)
-        unitarity_check(mu, basis, shifts[0])
-        mu.pushforward(shifts[2])
+        for t in (shifts[3], *symbolic):
+            unitarity_check(mu, basis, t)
+        for t in (shifts[5], *symbolic):
+            mu.pushforward(t)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -502,3 +525,98 @@ def test_zero_tolerance_is_accepted():
     for tol in (0.0, -0.0, 0):
         verdict = uniqueness_verdict(module, support, [PiTimes(Fraction(1, 2))], tol)
         assert verdict.killers == _reference_verdict(support, [PiTimes(Fraction(1, 2))], tol)[0]
+
+
+# ------------------------------------------------------------------
+# property test: random modules, shifts of every kind and rows
+# ------------------------------------------------------------------
+
+SYMBOLS = ("1", "pi", "sqrt2", "sqrt3", "sqrt5", "e")
+SHIFT_SYMBOLS = SYMBOLS + ("sqrt999999999989",)  # a large symbol tests the constants' precision margin
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+_large = st.builds(
+    lambda sign, n, m: Fraction(sign * n, m),
+    st.sampled_from((-1, 1)),
+    st.integers(2**100, 2**140),
+    st.integers(1, 2**40),
+)
+_coefficients = st.one_of(_small, _large)
+_coords = st.one_of(st.integers(-2, 2), st.integers(-(10**6), 10**6))
+
+
+@st.composite
+def _modules(draw):
+    tags = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4, unique=True))
+    specs = [q if tag == "1" else (tag, q) for tag, q in zip(tags, (draw(_small) for _ in tags))]
+    try:
+        return FrequencyModule.make(*specs)
+    except InputError:  # a near-relation among the scaled generators
+        assume(False)
+
+
+_shifts = st.one_of(
+    st.integers(-(2**140), 2**140),
+    _coefficients,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(PiTimes, _coefficients),
+    st.builds(_symbolic, st.sampled_from(SHIFT_SYMBOLS), _coefficients),
+    st.builds(
+        lambda tags, q, r: _symbolic(tags[0], q) + _symbolic(tags[1], r),
+        st.lists(st.sampled_from(SHIFT_SYMBOLS), min_size=2, max_size=2, unique=True),
+        _coefficients,
+        _coefficients,
+    ),
+)
+
+
+def _shift_value(t):
+    """t at the current precision, and its number of terms."""
+    if isinstance(t, SymbolicReal):
+        return sum(mp.mpf(q.numerator) / q.denominator * symbol_value(k) for k, q in t.terms.items()), len(t.terms)
+    if isinstance(t, PiTimes):
+        return mp.mpf(t.factor.numerator) / t.factor.denominator * mp.pi, 1
+    q = Fraction(t)
+    return mp.mpf(q.numerator) / q.denominator, 1
+
+
+def _check_turn_bound(module, t):
+    """Each per-generator fixed-point turn lies within J*1.0001 units of
+    2**-bits of the turn of g_k*t, g_k at the working precision it was
+    read at, computed with twice the table's bits plus t's size."""
+    table = turn_table(module, t)
+    one = 1 << table.bits
+    size = max(math.frexp(float(t))[1], 0)
+    with mp.workprec(2 * table.bits + size + 64):
+        value, terms = _shift_value(t)
+        for g, turn in zip(module.generators, table._turns.tolist()):
+            ref = mp.ldexp(g.mp_value * value / (2 * mp.pi), table.bits)
+            gap = (turn - ref) % one
+            assert min(gap, one - gap) <= terms * 1.0001
+    return table
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    _modules(),
+    _shifts,
+    st.lists(st.lists(_coords, min_size=4, max_size=4), min_size=1, max_size=6),
+    st.sampled_from((30, 80)),
+)
+@example(FrequencyModule.make(1, "sqrt2"), _symbolic("sqrt2", Fraction(2**100 + 1, 3)), [[0, 1, 0, 0], [3, -2, 0, 0]], 30)
+def test_turn_table_properties(module, t, coords, dps):
+    rows = [tuple(c[: module.dim]) for c in coords]
+    table = _check_turn_bound(module, t)
+    exact, turns = table.exact(rows).tolist(), table.turns(rows)
+    decided = {tol: table.in_two_pi_z(rows, tol).tolist() for tol in TOLS}
+    for i, row in enumerate(rows):
+        f = module.frequency(*row)
+        if reference_exact(reference_product(f, t)):
+            assert exact[i]
+            for tol in TOLS:
+                assert decided[tol][i] == reference_in_two_pi_z(f, t, tol)
+            expected = reference_turn(f, t)
+            if isinstance(expected, Fraction):
+                assert turns[i] == expected
+    # another precision: the constants are rebuilt for its bits
+    with mp.workdps(dps):
+        assert _check_turn_bound(module, t).bits != table.bits

@@ -231,10 +231,34 @@ def reference_window_sweep(psi, eps, t_max):
 
 
 # ------------------------------------------------------------------
-# per-frequency phase oracle: lambda*t built as one SymbolicReal per
-# frequency and shift, the way the library computed every phase before
-# its turn tables
+# one-row readings of a turn table, and the per-frequency phase oracle:
+# lambda*t built as one SymbolicReal per frequency and shift, the way the
+# library computed every phase before its turn tables
 # ------------------------------------------------------------------
+
+
+def phase_of(freq, t):
+    """e^{i*lambda*t} as a coefficient, exact when the turn allows."""
+    return turn_table(freq.module, t).phases([freq.coords])[0]
+
+
+def chord_of(freq, t):
+    """|e^{i*lambda*t} - 1| = 2|sin(lambda*t/2)|, exactly 0 for periodic shifts."""
+    return float(turn_table(freq.module, t).chords([freq.coords])[0])
+
+
+def in_two_pi_z(freq, t, tol=1e-12):
+    """Whether lambda*t is an integer multiple of 2*pi, from the table."""
+    return bool(turn_table(freq.module, t).in_two_pi_z([freq.coords], tol)[0])
+
+
+def _reference_times_pi(x):
+    """x*pi: the rational term becomes the pi term, and every other term
+    an opaque "(tag)*pi"."""
+    terms = {}
+    for k, v in x.terms.items():
+        terms[PI_KEY if k == RATIONAL_KEY else "(" + k + ")*pi"] = v
+    return SymbolicReal(terms, x.approx * mp.pi)
 
 
 def reference_symbolic(freq):
@@ -257,9 +281,9 @@ def _reference_sym_product(a, b):
     if qb is not None:
         return a.scaled(qb)
     if set(b.terms) == {PI_KEY}:
-        return a.scaled(b.terms[PI_KEY]).times_pi()
+        return _reference_times_pi(a.scaled(b.terms[PI_KEY]))
     if set(a.terms) == {PI_KEY}:
-        return b.scaled(a.terms[PI_KEY]).times_pi()
+        return _reference_times_pi(b.scaled(a.terms[PI_KEY]))
     if set(a.terms) == set(b.terms) and len(a.terms) == 1:
         tag = next(iter(a.terms))
         if tag.startswith("sqrt") and tag[4:].isdigit():
@@ -274,7 +298,7 @@ def reference_product(freq, t):
     decidable class degrade to an opaque tag with the numeric value."""
     sym = reference_symbolic(freq)
     if isinstance(t, PiTimes):
-        return sym.scaled(t.factor).times_pi()
+        return _reference_times_pi(sym.scaled(t.factor))
     if isinstance(t, SymbolicReal):
         return _reference_sym_product(sym, t)
     return sym.scaled(as_fraction(t))
