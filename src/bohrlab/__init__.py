@@ -2,55 +2,72 @@
 the Bohr compactification, Fourier-Stieltjes moment measures, and
 verifiers showing that translation invariance forces the Haar measure on
 both the character group and the glued line-plus-torus configuration
-space."""
+space.
 
-from .ap import APFunction
-from .bohr import BohrPoint, KroneckerResult, iota, kronecker_approx, kronecker_residual
-from .errors import InputError
-from .fleischhack import (
-    AgreementReport,
-    BasisSet,
-    C0Function,
-    CompactComplement,
-    ExtendedFunction,
-    FunctionPreimage,
-    OpenReal,
-    QMeasure,
-    RealPoint,
-    RPart,
-    extension_agreement_check,
-    extension_battery,
-    q_invariance_verdict,
-    r_part_invariance_verdict,
-    theta_tilde,
-    topology_membership,
-    xi_eval,
-)
-from .frequencies import Frequency, FrequencyModule, Generator
-from .hilbert import (
-    GramOperator,
-    UnitarityReport,
-    gram_matrix,
-    l2_inner,
-    translation_matrix,
-    unitarity_check,
-    unitarity_defect_matrix,
-)
-from .measures import (
-    FSMeasure,
-    InvarianceReport,
-    TorusDensity,
-    UniquenessVerdict,
-    box_support,
-    cross_support,
-    uniqueness_verdict,
-)
-from .parser import (
-    lower_expression,
-    parse_expression,
-    parse_scalar_literal,
-    print_expression,
-)
-from .scalars import EC_I, EC_ONE, EC_ZERO, ExactComplex, PiTimes, SymbolicReal
+The public names below load their modules on first access (PEP 562), so
+importing the package, or one command of its CLI, loads only what it uses.
+"""
 
+import importlib as _importlib
+
+_EXPORTS = {
+    "ap": ("APFunction",),
+    "bohr": ("BohrPoint", "KroneckerResult", "iota", "kronecker_approx", "kronecker_residual"),
+    "errors": ("InputError",),
+    "fleischhack": (
+        "AgreementReport",
+        "BasisSet",
+        "CompactComplement",
+        "FunctionPreimage",
+        "OpenReal",
+        "QMeasure",
+        "RealPoint",
+        "RPart",
+        "extension_agreement_check",
+        "extension_battery",
+        "q_invariance_verdict",
+        "r_part_invariance_verdict",
+        "theta_tilde",
+        "topology_membership",
+        "xi_eval",
+    ),
+    "frequencies": ("Frequency", "FrequencyModule", "Generator"),
+    "functions": ("C0Function", "ExtendedFunction"),
+    "hilbert": (
+        "GramOperator",
+        "UnitarityReport",
+        "gram_matrix",
+        "l2_inner",
+        "translation_matrix",
+        "unitarity_check",
+        "unitarity_defect_matrix",
+    ),
+    "measures": (
+        "FSMeasure",
+        "InvarianceReport",
+        "TorusDensity",
+        "UniquenessVerdict",
+        "box_support",
+        "cross_support",
+        "uniqueness_verdict",
+    ),
+    "parser": ("lower_expression", "parse_expression", "parse_scalar_literal", "print_expression"),
+    "scalars": ("EC_I", "EC_ONE", "EC_ZERO", "ExactComplex", "PiTimes", "SymbolicReal"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

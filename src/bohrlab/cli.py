@@ -5,6 +5,8 @@ Infinity).  Exit codes: 0 when the requested computation or verification
 succeeded, 1 when a verifier falsified its claim (the report carries a
 witness) or a search missed, 2 for input errors, including non-finite
 numeric flags, and 3 for internal errors.
+
+Each handler imports the modules it runs, so a command loads only those.
 """
 
 from __future__ import annotations
@@ -14,26 +16,8 @@ import json
 import math
 import sys
 
-from .bohr import BohrPoint, kronecker_approx
 from .errors import InputError
-from .fleischhack import extension_battery, q_invariance_verdict
-from .frequencies import FrequencyModule
-from .jsonio import (
-    extended_to_json,
-    fsmeasure_from_json,
-    matrix_to_json,
-    qmeasure_from_json,
-)
-from .measures import box_support, uniqueness_verdict
-from .parser import (
-    build_module,
-    collect_freq_literals,
-    lower_expression,
-    parse_expression,
-    parse_generator_literal,
-    parse_scalar_literal,
-)
-from .scalars import coeff_to_json_pair, working_dps
+from .scalars import check_precision, coeff_to_json_pair
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -41,7 +25,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
-def _parse_module(text: str) -> FrequencyModule:
+def _parse_module(text: str):
+    from .frequencies import FrequencyModule
+    from .parser import parse_generator_literal
+
     gens = [parse_generator_literal(part) for part in text.split(",") if part.strip()]
     if not gens:
         raise InputError("no generators given")
@@ -50,13 +37,17 @@ def _parse_module(text: str) -> FrequencyModule:
 
 def _parse_shifts(text: str) -> tuple[list[str], list]:
     """The shift literals, stripped, and the shifts they parse to."""
+    from .parser import parse_scalar_literal
+
     literals = [part.strip() for part in text.split(",") if part.strip()]
     if not literals:
         raise InputError("no shifts given")
     return literals, [parse_scalar_literal(lit) for lit in literals]
 
 
-def _parse_freq_range(text: str, module: FrequencyModule):
+def _parse_freq_range(text: str, module):
+    from .measures import box_support
+
     text = text.strip()
     if ".." not in text:
         raise InputError("frequency range must look like '-3..3'")
@@ -93,6 +84,8 @@ def _freq_list_json(freqs) -> list:
 
 
 def _cmd_mean(args) -> tuple[int, dict]:
+    from .parser import lower_expression, parse_expression
+
     f = lower_expression(parse_expression(args.expr))
     value = f.ap.bohr_mean()
     report = {"value": coeff_to_json_pair(value)}
@@ -107,6 +100,8 @@ def _cmd_mean(args) -> tuple[int, dict]:
 
 
 def _cmd_inner(args) -> tuple[int, dict]:
+    from .parser import build_module, collect_freq_literals, lower_expression, parse_expression
+
     ast_f = parse_expression(args.f)
     ast_g = parse_expression(args.g)
     # lower both onto one module covering the union of their frequencies
@@ -118,31 +113,38 @@ def _cmd_inner(args) -> tuple[int, dict]:
 
 
 def _cmd_translate(args) -> tuple[int, dict]:
+    from .jsonio import extended_to_json
+    from .parser import lower_expression, parse_expression, parse_scalar_literal
+
     f = lower_expression(parse_expression(args.expr))
     t = parse_scalar_literal(args.t)
     return EXIT_OK, {"t": args.t, "result": extended_to_json(f.translate(t))}
 
 
 def _cmd_verify_haar_uniqueness(args) -> tuple[int, dict]:
+    from .measures import uniqueness_verdict
+
     module = _parse_module(args.generators)
     support = _parse_freq_range(args.freqs, module)
     literals, shifts = _parse_shifts(args.shifts)
     verdict = uniqueness_verdict(module, support, shifts, args.tol)
-    # a witness is reported as the first literal that parsed to it
+    # a witness is reported as the first literal that parsed to its value
     literal_of = {}
     for lit, t in zip(literals, shifts):
-        literal_of.setdefault(id(t), lit)
+        literal_of.setdefault(t, lit)
     report = {
         "verdict": verdict.verdict,
         "surviving_frequencies": _freq_list_json(verdict.surviving),
         "witness_shifts": {
-            str(list(f.coords)): literal_of[id(t)] for f, t in verdict.killers.items()
+            str(list(f.coords)): literal_of[t] for f, t in verdict.killers.items()
         },
     }
     return (EXIT_OK if verdict.forced else EXIT_FALSIFIED), report
 
 
 def _cmd_verify_extension(args) -> tuple[int, dict]:
+    from .fleischhack import extension_battery
+
     module = _parse_module(args.generators)
     ok, worst, exact_zero = extension_battery(
         module, trials=args.trials, tol=args.tol, seed=args.seed
@@ -158,8 +160,17 @@ def _cmd_verify_extension(args) -> tuple[int, dict]:
 
 
 def _cmd_check_measure(args) -> tuple[int, dict]:
+    from .fleischhack import q_invariance_verdict
+    from .jsonio import fsmeasure_from_json, matrix_to_json, qmeasure_from_json
+    from .measures import uniqueness_verdict
+
     with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise InputError("the measure file nests deeper than the JSON decoder's recursion limit") from None
+        except ValueError as exc:  # malformed JSON, or an integer past CPython's digit limit
+            raise InputError(str(exc)) from None
     _, shifts = _parse_shifts(args.shifts)
     if isinstance(data, dict) and "r_part" in data:
         mu = qmeasure_from_json(data)
@@ -199,6 +210,9 @@ def _cmd_check_measure(args) -> tuple[int, dict]:
 
 
 def _cmd_kronecker(args) -> tuple[int, dict]:
+    from .bohr import BohrPoint, kronecker_approx
+    from .parser import parse_scalar_literal
+
     module = _parse_module(args.generators)
     angles = [parse_scalar_literal(part) for part in args.target.split(",") if part.strip()]
     psi = BohrPoint.from_angles(module, angles)
@@ -327,11 +341,11 @@ def main(argv=None) -> int:
             return EXIT_OK
         return _emit({"error": "invalid command-line arguments"}, EXIT_INPUT_ERROR)
     try:
-        working_dps()  # a bad BOHR_PRECISION is an input error, not a crash
+        check_precision()  # a bad BOHR_PRECISION is an input error, not a crash
         _check_numeric_flags(args)
         code, report = args.handler(args)
         text = json.dumps(report, indent=2, allow_nan=False)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         return _emit({"error": str(exc)}, EXIT_INPUT_ERROR)
     except Exception as exc:  # fuzzed inputs must not crash the process
         return _emit({"error": f"internal: {type(exc).__name__}: {exc}"}, EXIT_INTERNAL_ERROR)

@@ -31,9 +31,15 @@ gives (tag)*pi, sqrtN*sqrtN = N, and any other pair an opaque tag naming
 both.  Each fixed-point turn is the sum over the terms of
 round(C*n / (m*2**E)), from a constant C = round(g_k*s/(2*pi) *
 2**(bits + E)) (g_k/2 for s = pi) cached per module, precision, E and
-tag, E being n's size rounded up to 64 bits.  The constants are computed
-in mpmath on first use; a table itself is integer arithmetic alone.  A
-term whose tag has no ``scalars.symbol_value`` is an ``InputError``.
+tag, E being n's size rounded up to 64 bits.  The constants are integer
+arithmetic on the generator's exact coefficient and the tags' fixed-point
+values (``scalars.symbol_fixed``), and so is a table itself.  A term whose
+tag has no built-in value is an ``InputError``.
+
+Generator and frequency values are read the same way: a generator is an
+exact rational coefficient times a built-in constant (1 for a rational or
+a user decimal, whose exact ``Fraction`` joins the coefficient), and every
+float is rounded once from the integers.
 
 A table evaluates a list of rows once, into an integer view that all its
 readers share; see ``TurnTable``.  ``turn_of`` is a one-row call into the
@@ -47,21 +53,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InputError
 from .scalars import (
     PI_KEY,
+    PRECISION,
     PiTimes,
     RATIONAL_KEY,
     RealLike,
     SymbolicReal,
     as_fraction,
+    check_literal_digits,
+    float_of_terms,
+    known_symbol,
     phase_from_turn,
     quarter_phase,
+    symbol_decimal,
+    symbol_fixed,
     symbol_kind,
-    symbol_value,
 )
 
 RELATION_BOUND = 20
@@ -82,17 +92,16 @@ class Generator:
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.scale == 0:
             raise InputError("generator scale must be nonzero")
+        check_literal_digits(self.decimal)
         try:
-            base = mp.mpf(self.decimal)
-        except ValueError as exc:
+            base = Fraction(self.decimal)
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad decimal literal {self.decimal!r}") from exc
-        if not mp.isfinite(base):
-            raise InputError("generator value must be finite")
-        if self.symbol is not None:
-            known = symbol_value(self.symbol)
+        if self.symbol is not None and known_symbol(self.symbol):
             # relative above 1: ``named`` writes dps significant digits
-            tol = mp.mpf(10) ** (-(mp.mp.dps - 5))
-            if known is not None and abs(base - known) > tol * max(1, abs(known)):
+            bits = PRECISION.bits
+            known = Fraction(symbol_fixed(self.symbol, bits), 1 << bits)
+            if abs(base - known) > Fraction(1, 10 ** (PRECISION.dps - 5)) * max(1, known):
                 raise InputError(
                     f"decimal for symbol {self.symbol!r} does not match its value"
                 )
@@ -104,31 +113,30 @@ class Generator:
     @staticmethod
     def named(symbol: str, scale=1, decimal: str | None = None) -> "Generator":
         if decimal is None:
-            known = symbol_value(symbol)
-            if known is None:
+            if not known_symbol(symbol):
                 raise InputError(
                     f"unknown symbol {symbol!r}: supply its decimal expansion"
                 )
-            decimal = mp.nstr(known, mp.mp.dps)
+            decimal = symbol_decimal(symbol, PRECISION.dps)
         return Generator(symbol, decimal, Fraction(scale))
 
     @cached_property
-    def mp_value(self) -> mp.mpf:
-        base = symbol_value(self.symbol) if self.symbol is not None else None
-        if base is None:
-            base = mp.mpf(self.decimal)
-        return base * mp.mpf(self.scale.numerator) / self.scale.denominator
+    def numeric(self) -> tuple[Fraction, str]:
+        """The value as (q, tag), q times the built-in constant ``tag``:
+        the symbol's own value when it has one, else the exact decimal."""
+        if self.symbol is not None and known_symbol(self.symbol):
+            return self.scale, self.symbol
+        return self.scale * Fraction(self.decimal), RATIONAL_KEY
 
     @property
     def value(self) -> float:
-        return float(self.mp_value)
+        return float_of_terms((self.numeric,))
 
     @cached_property
     def symbolic(self) -> SymbolicReal:
         if self.symbol is None:
-            coeff = self.scale * Fraction(self.decimal)
-            return SymbolicReal({RATIONAL_KEY: coeff}, self.mp_value)
-        return SymbolicReal({self.symbol: self.scale}, self.mp_value)
+            return SymbolicReal.rational(self.scale * Fraction(self.decimal))
+        return SymbolicReal.of_symbol(self.symbol, self.scale)
 
 
 def _rational_gcd(values: list[Fraction]) -> Fraction:
@@ -322,17 +330,10 @@ class Frequency:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    @cached_property
-    def mp_value(self) -> mp.mpf:
-        acc = mp.mpf(0)
-        for c, g in zip(self.coords, self.module.generators):
-            if c:
-                acc += c * g.mp_value
-        return acc
-
     @property
     def value(self) -> float:
-        return float(self.mp_value)
+        numeric = (g.numeric for g in self.module.generators)
+        return float_of_terms((c * q, tag) for c, (q, tag) in zip(self.coords, numeric) if c)
 
 
 # ------------------------------------------------------------------
@@ -389,17 +390,29 @@ def _product_tag(g: str, s: str) -> tuple[str, int]:
     return "?(" + g + ")x(" + s + ")", 1
 
 
-def _fixed_point(g: mp.mpf, tag: str, bits: int) -> int:
-    """round(g*s/(2*pi) * 2**bits), s the value of the symbol ``tag`` (g/2
-    when s is pi): the turn of g*s over 2**bits, not reduced.  s and the
-    product are taken at this precision with 16 bits to spare, as
-    |s/(2*pi)| < 2**(mag(s) - 2)."""
-    s = symbol_value(tag)
-    if s is None:
-        raise InputError(f"the shift has a term in {tag!r}, which has no known value")
-    with mp.workprec(bits + max(int(mp.mag(g)), 0) + max(int(mp.mag(s)) - 2, 0) + 16):
-        x = g / 2 if tag == PI_KEY else g * symbol_value(tag) / (2 * mp.pi)
-        return int(mp.nint(mp.ldexp(x, bits)))
+def _fixed_point(g: Generator, s: str, bits: int) -> int:
+    """round(g*s/(2*pi) * 2**bits), s the value of the symbol ``s`` (g/2
+    when s is pi): the turn of g*s over 2**bits, not reduced.
+
+    With g = q*v (``Generator.numeric``) and the tags' constants V, S, P of
+    v, s and pi at w bits, each within one unit and each value at least 1,
+    q*V*S/(2*P) is within 4*|x|*2**(bits - w) units of x = g*s/(2*pi) *
+    2**bits.  w exceeds bits by 20 more than the size of q*v*s, rounded up
+    to 64 bits so that few constants are cached, which puts that error
+    below 2**-16; rounding the quotient adds one half.
+    """
+    if not known_symbol(s):
+        raise InputError(f"the shift has a term in {s!r}, which has no known value")
+    q, v = g.numeric
+    size = (-(-abs(q.numerator) // q.denominator)).bit_length()
+    size += symbol_fixed(v, 0).bit_length() + symbol_fixed(s, 0).bit_length()
+    w = bits + -(-(size + 20) // _NUMERATOR_STEP) * _NUMERATOR_STEP
+    num = q.numerator * symbol_fixed(v, w)
+    den = q.denominator << (w - bits + 1)
+    if s != PI_KEY:
+        num *= symbol_fixed(s, w)
+        den *= symbol_fixed(PI_KEY, w)
+    return (2 * num + den) // (2 * den)
 
 
 @lru_cache(maxsize=TURN_TABLE_SIZE)
@@ -411,7 +424,7 @@ def _term_products(module: FrequencyModule, bits: int, extra: int, s: str) -> tu
     for g in module.generators:
         ((tag, q),) = g.symbolic.terms.items()
         tag, f = _product_tag(tag, s)
-        out.append((tag, q.numerator * f, q.denominator, _fixed_point(g.mp_value, s, bits + extra)))
+        out.append((tag, q.numerator * f, q.denominator, _fixed_point(g, s, bits + extra)))
     return tuple(out)
 
 
@@ -440,11 +453,11 @@ class TurnTable:
     coordinate tuples or an (n, d) integer array, and the arithmetic runs
     on Python integers, so coordinates have no size limit.
 
-    Precision.  Each constant C is within 1/2 + 2**-15 of g_k*s/(2*pi) *
-    2**(bits + E), measured against the working-precision g_k and the
-    symbol value s at bits + E bits, the product being taken with 16 bits
-    to spare.  As |n/m| <= |n| < 2**E, a term's C*n/(m*2**E) is then within
-    1/2 + 2**-15 units of 2**-bits of the turn of g_k*(n/m)*s, and its
+    Precision.  ``bits`` is the working precision plus ``TURN_GUARD_BITS``.
+    Each constant C is within 1/2 + 2**-16 of g_k*s/(2*pi) * 2**(bits + E)
+    for the exact g_k and s (see ``_fixed_point``).  As |n/m| <= |n| <
+    2**E, a term's C*n/(m*2**E) is then within 1/2 + 2**-16 units of
+    2**-bits of the turn of g_k*(n/m)*s, and its
     rounding within 1.0001 units, for every size of n: floats up to 1.8e308
     have |n| < 2**1024, so E <= 1024.  A shift of J terms gives turns
     within J*1.0001 units.  A row's turn sum c_k*turn_k is then within
@@ -473,7 +486,7 @@ class TurnTable:
 
     def __init__(self, module: FrequencyModule, t: RealLike):
         self.dim = module.dim
-        self.bits = mp.mp.prec + TURN_GUARD_BITS
+        self.bits = PRECISION.bits + TURN_GUARD_BITS
         terms: list[dict] = [{} for _ in module.generators]
         turns = [0] * self.dim
         for s, n, m in _shift_terms(t):
@@ -590,11 +603,11 @@ def turn_table(module: FrequencyModule, t: RealLike) -> TurnTable:
     projection and an invariance check over the same shifts share them.
     """
     require_finite_shift(t)
-    return _cached_turn_table(module, t, mp.mp.prec)
+    return _cached_turn_table(module, t, PRECISION.bits)
 
 
 @lru_cache(maxsize=TURN_TABLE_SIZE)
-def _cached_turn_table(module: FrequencyModule, t: RealLike, prec: int) -> TurnTable:
+def _cached_turn_table(module: FrequencyModule, t: RealLike, bits: int) -> TurnTable:
     return TurnTable(module, t)
 
 

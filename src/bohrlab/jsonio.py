@@ -13,8 +13,9 @@ import numpy as np
 from .ap import APFunction
 from .bohr import BohrPoint
 from .errors import InputError
-from .fleischhack import C0Function, ExtendedFunction, QMeasure, RPart
+from .fleischhack import QMeasure, RPart
 from .frequencies import FrequencyModule, Generator
+from .functions import C0Function, ExtendedFunction
 from .measures import FSMeasure
 from .scalars import (
     coeff_from_json_parts,

@@ -22,19 +22,21 @@ from fractions import Fraction
 
 from .ap import APFunction
 from .errors import InputError
-from .fleischhack import C0Function, ExtendedFunction
 from .frequencies import FrequencyModule, Generator, _rational_gcd
+from .functions import C0Function, ExtendedFunction
 from .scalars import (
     EC_I,
     ExactComplex,
     PiTimes,
     RealLike,
     SymbolicReal,
+    check_literal_digits,
     format_rational,
-    symbol_value,
+    known_symbol,
 )
 
 _KEYWORDS = ("chi", "hat", "i")
+MAX_NESTING = 100  # parenthesis depth: the parser and lowering recurse once per level
 
 
 # ------------------------------------------------------------------
@@ -87,6 +89,10 @@ def tokenize(src: str) -> list[Token]:
                 if "." in text:
                     raise _err(line, start_col, "decimal numerator in rational literal")
                 text = f"{text}/{src[dstart:i]}"
+            try:
+                check_literal_digits(text)
+            except InputError as exc:
+                raise _err(line, start_col, str(exc)) from None
             try:
                 value = Fraction(text)
             except (ValueError, ZeroDivisionError):
@@ -159,6 +165,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.k]
@@ -216,8 +223,12 @@ class _Parser:
             self.take()
             return Num(tok.value, pos)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise _err(*pos, f"parentheses nest deeper than MAX_NESTING = {MAX_NESTING}")
             self.take()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.take(")")
             return node
         if tok.kind == "NAME":
@@ -269,7 +280,7 @@ class _Parser:
 
     @staticmethod
     def _check_symbol(tok: Token) -> None:
-        if tok.text in _KEYWORDS or symbol_value(tok.text) is None:
+        if tok.text in _KEYWORDS or not known_symbol(tok.text):
             raise _err(tok.line, tok.col, f"unknown symbol {tok.text!r}")
 
 
@@ -290,7 +301,7 @@ def parse_scalar_literal(src: str) -> RealLike:
         return lit.factor
     if lit.symbol == "pi":
         return PiTimes(lit.factor)
-    return SymbolicReal.of_symbol(lit.symbol, lit.factor, symbol_value(lit.symbol))
+    return SymbolicReal.of_symbol(lit.symbol, lit.factor)
 
 
 def parse_generator_literal(src: str) -> Generator:

@@ -7,53 +7,97 @@ Three representations cooperate here:
 * ``PiTimes`` -- a rational multiple of pi, used for translation amounts
   whose phases must stay exact (e.g. a shift by pi).
 * ``SymbolicReal`` -- a rational linear combination of known constants
-  (1, pi, square roots of squarefree integers, opaque user symbols),
-  with its high-precision value.  ``symbol_kind`` sorts the terms into
-  those the exact multiple-of-2*pi decision of
+  (1, pi, e, square roots of integers, opaque user symbols), kept as a
+  canonical mapping from tag to Fraction.  ``symbol_kind`` sorts the tags
+  into those the exact multiple-of-2*pi decision of
   ``bohrlab.frequencies.TurnTable`` can use and the opaque rest.
 
-Working precision for numeric constants is 50 decimal digits by default
-and can be overridden with the ``BOHR_PRECISION`` environment variable.
-An invalid value (not an integer, or below 15) keeps the default at
-import; ``working_dps()`` raises the ``InputError`` for it, and the CLI
-reports it as an input error.
+Precision.  ``PRECISION`` is the one working precision of the package:
+``dps`` decimal digits, 50 by default or read once, at import, from the
+``BOHR_PRECISION`` environment variable, and ``bits`` = round((dps + 1) *
+log2(10)) binary digits (169 at 50 digits).  An invalid
+value (not an integer, below 15 or above ``MAX_LITERAL_DIGITS``) keeps
+the default; ``check_precision()`` raises its ``InputError``, which the
+CLI reports as an input error.  ``working_precision(dps)`` switches it
+for the length of a ``with`` block.
+
+Constants.  Every value comes from integers: ``symbol_fixed(tag, bits)``
+is a known symbol's value times 2**bits within one unit, cached per (tag,
+bits), and a user decimal is its exact ``Fraction``.  Floats are rounded
+once from these, by integer true division, which rounds correctly.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Union
-
-import mpmath as mp
 
 from .errors import InputError
 
 DEFAULT_DPS = 50
+MAX_LITERAL_DIGITS = 4300  # digits plus |exponent| of a decimal literal: CPython's str-to-int limit
 
 
-def working_dps() -> int:
-    raw = os.environ.get("BOHR_PRECISION", "")
+def dps_to_bits(dps: int) -> int:
+    """Binary digits for ``dps`` decimal digits: round((dps + 1) * log2(10)),
+    the test oracle's rule, so that both name the same precision."""
+    return round((dps + 1) * math.log2(10))
+
+
+def _parse_precision(raw: str) -> int:
     if not raw:
         return DEFAULT_DPS
     try:
         dps = int(raw)
     except ValueError:
-        raise InputError(f"BOHR_PRECISION must be an integer, got {raw!r}")
+        raise InputError(f"BOHR_PRECISION must be an integer, got {raw!r}") from None
     if dps < 15:
         raise InputError("BOHR_PRECISION must be at least 15")
+    if dps > MAX_LITERAL_DIGITS:
+        raise InputError(f"BOHR_PRECISION must be at most MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}")
     return dps
 
 
+class Precision:
+    """The working precision: ``dps`` decimal digits, ``bits`` binary."""
+
+    __slots__ = ("dps", "bits")
+
+    def __init__(self, dps: int):
+        self.dps = dps
+        self.bits = dps_to_bits(dps)
+
+
 try:
-    mp.mp.dps = working_dps()
-except InputError:
+    PRECISION = Precision(_parse_precision(os.environ.get("BOHR_PRECISION", "")))
+    _PRECISION_ERROR = None
+except InputError as exc:
     # A bad value must not fail the import: the CLI could not report it.
-    # ``cli.main`` calls working_dps() again and reports the error (exit 2).
-    mp.mp.dps = DEFAULT_DPS
+    PRECISION, _PRECISION_ERROR = Precision(DEFAULT_DPS), str(exc)
+
+
+def check_precision() -> None:
+    """Raise the ``InputError`` of an invalid ``BOHR_PRECISION``."""
+    if _PRECISION_ERROR is not None:
+        raise InputError(_PRECISION_ERROR)
+
+
+@contextmanager
+def working_precision(dps: int):
+    """Work at ``dps`` decimal digits inside the block."""
+    saved = PRECISION.dps, PRECISION.bits
+    PRECISION.dps, PRECISION.bits = dps, dps_to_bits(dps)
+    try:
+        yield PRECISION
+    finally:
+        PRECISION.dps, PRECISION.bits = saved
+
 
 TWO_PI = 2 * math.pi
 
@@ -128,7 +172,7 @@ class PiTimes:
 
     @property
     def value(self) -> float:
-        return float(mp.pi * mp.mpf(self.factor.numerator) / self.factor.denominator)
+        return float_of_terms(((self.factor, PI_KEY),))
 
     def __float__(self) -> float:
         return self.value
@@ -207,68 +251,218 @@ def symbol_kind(tag: str) -> str:
     return "opaque"
 
 
-def symbol_value(tag: str) -> mp.mpf | None:
-    """Numeric value for a built-in symbol tag, or None if unknown."""
-    if tag == RATIONAL_KEY:
-        return mp.mpf(1)
-    if tag == PI_KEY:
-        return +mp.pi
+def _symbol_base(tag: str) -> str | int | None:
+    """The constant a tag names: "1", "pi", "e", the integer N of sqrtN
+    (N >= 2), or None."""
+    if tag in (RATIONAL_KEY, PI_KEY, "e"):
+        return tag
     if tag.startswith("sqrt"):
         try:
             n = int(tag[4:])
         except ValueError:
             return None
         if n >= 2:
-            return mp.sqrt(n)
-    if tag == "e":
-        return +mp.e
+            return n
     return None
 
 
-def _frac_to_mpf(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / q.denominator
+def known_symbol(tag: str) -> bool:
+    """Whether the tag names a built-in constant: 1, pi, e or sqrtN."""
+    return _symbol_base(tag) is not None
+
+
+_GUARD = 32  # bits beyond the target carried by the series for pi and e
+
+
+def _pi_fixed(bits: int) -> int:
+    """pi * 2**bits within one unit, from Machin's formula pi =
+    16*atan(1/5) - 4*atan(1/239), summed in fixed point with ``_GUARD``
+    guard bits.  Each series term is within 2.1 guard units of its value
+    (one floor for x**-(2k+1), whose errors shrink by x**2 per term, and
+    one for the division by 2k+1), and the dropped tail is below one, so
+    the sum is within 8*(bits + _GUARD) + 130 guard units: below 2**30 for
+    bits < 2**26.  The final rounding adds half a unit."""
+    one = 1 << (bits + _GUARD)
+
+    def atan_inv(x: int) -> int:
+        x2, term, total, k, sign = x * x, one // x, one // x, 1, 1
+        while term:
+            term //= x2
+            k, sign = k + 2, -sign
+            total += sign * (term // k)
+        return total
+
+    pi = 16 * atan_inv(5) - 4 * atan_inv(239)
+    return (pi + (1 << (_GUARD - 1))) >> _GUARD
+
+
+def _e_fixed(bits: int) -> int:
+    """e * 2**bits within one unit, from the series sum 1/k!, summed in
+    fixed point with ``_GUARD`` guard bits.  Each of the at most bits +
+    _GUARD terms is one floor below its value, and the dropped tail is below
+    one, so the sum is within bits + _GUARD + 1 guard units: below 2**30 for
+    bits < 2**29.  The final rounding adds half a unit."""
+    term = total = 1 << (bits + _GUARD)
+    k = 1
+    while term:
+        term //= k
+        total += term
+        k += 1
+    return (total + (1 << (_GUARD - 1))) >> _GUARD
+
+
+@lru_cache(maxsize=256)
+def symbol_fixed(tag: str, bits: int) -> int | None:
+    """A known symbol's value times 2**bits, within one unit, or None for a
+    tag without a built-in value.  1 is exact; sqrtN is floor(sqrt(N) *
+    2**bits) = math.isqrt(N << 2*bits), in [0, 1) units below; pi and e
+    are bounded in ``_pi_fixed`` and ``_e_fixed``."""
+    base = _symbol_base(tag)
+    if base is None:
+        return None
+    if base == RATIONAL_KEY:
+        return 1 << bits
+    if base == PI_KEY:
+        return _pi_fixed(bits)
+    if base == "e":
+        return _e_fixed(bits)
+    return math.isqrt(base << (2 * bits))
+
+
+def _known_fixed(tag: str, bits: int) -> int:
+    c = symbol_fixed(tag, bits)
+    if c is None:
+        raise InputError(f"the value has a term in {tag!r}, which has no known value")
+    return c
+
+
+def float_of_terms(terms) -> float:
+    """The float of sum q * value(tag) over (q, tag) pairs, rounded once
+    from the tags' constants at the working precision plus 64 bits: within
+    sum |q| units of 2**-(bits + 64) before that rounding."""
+    bits = PRECISION.bits + 64
+    num, den = 0, 1
+    for q, tag in terms:
+        c = _known_fixed(tag, bits)
+        lcm = math.lcm(den, q.denominator)
+        num = num * (lcm // den) + q.numerator * (lcm // q.denominator) * c
+        den = lcm
+    return num / (den << bits)
+
+
+def symbol_decimal(tag: str, dps: int) -> str:
+    """A known symbol's value written with dps significant digits, as the
+    test oracle's ``nstr(value, dps)`` writes it, trailing-zero stripping
+    included: module equality compares these strings.
+
+    The value is first rounded to nearest at ``dps_to_bits(dps)``
+    significant bits, then truncated to dps + 3 decimal digits and rounded
+    half up to dps digits.  It is written in fixed point when its leading
+    digit's exponent is below dps, else as 'd.ddd' + 'e+exponent'.  The
+    symbol's constant is read at 64 bits beyond that precision: sqrtN is
+    rounded exactly, pi and e unless their bits come within 2**-63 of a
+    tie.  Every known symbol is at least 1 and below 2**3500, the range in
+    which that format needs no power-of-ten prescaling.
+    """
+    prec = dps_to_bits(dps)
+    work = prec + 64
+    fixed = _known_fixed(tag, work)
+    e2 = (fixed >> work).bit_length()  # value in [2**(e2 - 1), 2**e2)
+    shift = work - prec + e2
+    man = (fixed + (1 << (shift - 1))) >> shift
+    if man >> prec:
+        man, e2 = man >> 1, e2 + 1
+    # dps + 3 digits, truncated: floor(value * 10**fixdps) over 10**fixdps
+    bitprec = int((dps + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - e2, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    move = e2 - prec + fixprec
+    fixed_value = man << move if move >= 0 else man >> -move
+    digits = str((fixed_value * 10**fixdps) >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    # round half up to dps digits, place the point, strip zeros
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = digits[:dps]
+        i = dps - 1
+        while i >= 0 and digits[i] == "9":
+            i -= 1
+        if i >= 0:
+            digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
+        else:
+            digits = "1" + "0" * (dps - 1)
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    if min(-(dps // 3), -5) < exponent < dps:
+        split = exponent + 1  # exponent >= 0: every value is at least 1
+        if split > dps:
+            digits += "0" * (split - dps)
+        exponent = 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if exponent == 0:
+        return digits
+    return f"{digits}e+{exponent}"
 
 
 class SymbolicReal:
-    """A rational linear combination of tagged constants, with its high
-    precision numeric value carried alongside.
+    """A rational linear combination of tagged constants: a canonical,
+    frozen mapping ``terms`` from tag to nonzero Fraction, in tag order.
 
-    Instances are immutable in use; arithmetic returns new objects.
+    Equal combinations compare and hash equal, so equal shifts share a
+    turn table.  ``float()`` reads the tags' built-in values.
     """
 
-    __slots__ = ("terms", "approx")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[str, Fraction], approx: mp.mpf):
-        self.terms = {k: v for k, v in terms.items() if v != 0}
-        self.approx = approx
+    def __init__(self, terms):
+        items = sorted((k, Fraction(v)) for k, v in terms.items() if v != 0)
+        object.__setattr__(self, "terms", MappingProxyType(dict(items)))
+        object.__setattr__(self, "_hash", hash(tuple(items)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymbolicReal is immutable")
+
+    def __reduce__(self):
+        return (SymbolicReal, (dict(self.terms),))
 
     @staticmethod
     def rational(q: Fraction | int) -> "SymbolicReal":
-        q = Fraction(q)
-        return SymbolicReal({RATIONAL_KEY: q}, _frac_to_mpf(q))
+        return SymbolicReal({RATIONAL_KEY: q})
 
     @staticmethod
-    def of_symbol(tag: str, scale: Fraction, approx: mp.mpf) -> "SymbolicReal":
-        return SymbolicReal({tag: scale}, _frac_to_mpf(scale) * approx)
+    def of_symbol(tag: str, scale: Fraction) -> "SymbolicReal":
+        return SymbolicReal({tag: scale})
 
     @staticmethod
     def zero() -> "SymbolicReal":
-        return SymbolicReal({}, mp.mpf(0))
+        return SymbolicReal({})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymbolicReal):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"SymbolicReal({dict(self.terms)!r})"
 
     def __add__(self, other: "SymbolicReal") -> "SymbolicReal":
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, Fraction(0)) + v
-        return SymbolicReal(terms, self.approx + other.approx)
+        return SymbolicReal(terms)
 
     def scaled(self, q: Fraction) -> "SymbolicReal":
-        if q == 0:
-            return SymbolicReal.zero()
-        return SymbolicReal({k: v * q for k, v in self.terms.items()},
-                            self.approx * _frac_to_mpf(q))
+        return SymbolicReal({k: v * q for k, v in self.terms.items()})
 
     def __float__(self) -> float:
-        return float(self.approx)
+        return float_of_terms((q, tag) for tag, q in self.terms.items())
 
 
 # ------------------------------------------------------------------
@@ -351,9 +545,28 @@ def phase_from_turn(turn: Fraction | float) -> Coeff:
 # ------------------------------------------------------------------
 
 
+def check_literal_digits(text: str) -> None:
+    """Refuse a decimal literal whose digits plus |exponent| exceed
+    ``MAX_LITERAL_DIGITS``, from the text alone: '1e10000000' would
+    otherwise build a 33-million-bit integer."""
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(ch.isdigit() for ch in mantissa)
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    if len(exponent) > len(str(MAX_LITERAL_DIGITS)):
+        size = MAX_LITERAL_DIGITS + 1
+    elif exponent.isdigit():
+        size += int(exponent)
+    if size > MAX_LITERAL_DIGITS:
+        raise InputError(
+            f"number out of range: more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} "
+            f"digits plus exponent in {text[:40]!r}"
+        )
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse '3/4', '-2', '0.25' into an exact Fraction."""
     text = text.strip()
+    check_literal_digits(text)
     try:
         if "/" in text:
             num, den = text.split("/")

@@ -352,7 +352,7 @@ def test_precision_env_override():
     # Inherit the parent's environment so the child finds bohrlab the same
     # way (PYTHONPATH or an install); only the precision is overridden.
     out = subprocess.run(
-        [sys.executable, "-c", "import mpmath, bohrlab; print(mpmath.mp.dps)"],
+        [sys.executable, "-c", "from bohrlab.scalars import PRECISION; print(PRECISION.dps)"],
         capture_output=True,
         text=True,
         env=dict(os.environ, BOHR_PRECISION="30"),

@@ -11,16 +11,19 @@ import pytest
 from bohrlab import (
     ExactComplex,
     FrequencyModule,
+    Generator,
     InputError,
     PiTimes,
     box_support,
     cli,
+    extension_battery,
     lower_expression,
     parse_expression,
     parse_scalar_literal,
     print_expression,
     uniqueness_verdict,
 )
+from bohrlab import bohr
 from bohrlab.scalars import SymbolicReal
 
 M = FrequencyModule.integers()
@@ -255,7 +258,7 @@ def test_cli_verify_haar_uniqueness_undetermined():
 
 def _same_shift(a, b) -> bool:
     if isinstance(a, SymbolicReal) or isinstance(b, SymbolicReal):
-        return type(a) is type(b) and (a.terms, a.approx) == (b.terms, b.approx)
+        return type(a) is type(b) and (a.terms, float(a)) == (b.terms, float(b))
     return type(a) is type(b) and a == b
 
 
@@ -440,8 +443,8 @@ def test_cli_non_finite_json_moments_exit_2(tmp_path, literal):
 
 @pytest.mark.parametrize(
     "value, message",
-    [("10", "at least 15"), ("fifty", "must be an integer")],
-    ids=["below_15", "not_an_integer"],
+    [("10", "at least 15"), ("fifty", "must be an integer"), ("4301", "MAX_LITERAL_DIGITS")],
+    ids=["below_15", "not_an_integer", "above_max_literal_digits"],
 )
 def test_cli_bad_precision_env_exits_2(value, message):
     proc = run_cli("mean", "chi(1)", env=dict(os.environ, BOHR_PRECISION=value))
@@ -472,7 +475,7 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
     def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "kronecker_approx", broken)
+    monkeypatch.setattr(bohr, "kronecker_approx", broken)  # the handler imports it when it runs
     code = cli.main(["kronecker", "--generators", "1,sqrt2", "--target", "0,pi", "--eps", "0.1"])
     assert code == cli.EXIT_INTERNAL_ERROR == 3
     assert _strict_json(capsys.readouterr().out)["error"] == "internal: RuntimeError: boom"
@@ -549,3 +552,138 @@ def test_cli_frequency_box_is_bounded():
     assert proc.returncode == 2, proc.stdout
     assert "limit of 1048576 frequencies" in _strict_json(proc.stdout)["error"]
     assert elapsed < baseline + 1.0
+
+
+# ------------------------------------------------------------------
+# what a command loads, and inputs refused before any work
+# ------------------------------------------------------------------
+
+_LOADED = (
+    "import runpy, sys\n"
+    "sys.argv[0] = 'bohrlab'\n"
+    "try:\n"
+    "    runpy.run_module('bohrlab', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit:\n"
+    "    pass\n"
+    "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["mean", "chi(1)"], ("mpmath", "bohrlab.measures", "bohrlab.bohr", "bohrlab.hilbert")),
+        (
+            ["kronecker", "--generators", "1,sqrt2", "--target", "0,pi", "--eps", "0.1"],
+            ("mpmath", "bohrlab.measures", "bohrlab.hilbert"),
+        ),
+    ],
+    ids=["mean", "kronecker"],
+)
+def test_cli_command_loads_only_what_it_runs(argv, absent):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "bohrlab.cli" in loaded and not loaded & set(absent)
+    assert "error" not in _strict_json(proc.stdout)
+
+
+def test_package_import_loads_no_module_until_a_name_is_read():
+    code = (
+        "import sys, bohrlab\n"
+        "before = sorted(m for m in sys.modules if m.startswith('bohrlab') or m == 'mpmath')\n"
+        "from bohrlab import FrequencyModule, cli\n"
+        "print(before, 'bohrlab.frequencies' in sys.modules, 'FrequencyModule' in dir(bohrlab))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['bohrlab']", "True", "True"]
+
+
+def _main_in_time(argv, capsys):
+    t0 = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - t0
+    return code, _strict_json(capsys.readouterr().out), elapsed
+
+
+def test_cli_deep_parentheses_are_an_input_error(capsys):
+    from bohrlab.parser import MAX_NESTING
+
+    code, report, elapsed = _main_in_time(["mean", "(" * 3000 + "chi(1)" + ")" * 3000], capsys)
+    assert code == 2 and "MAX_NESTING" in report["error"] and elapsed < 0.5
+    deepest = "(" * MAX_NESTING + "chi(1)" + ")" * MAX_NESTING
+    assert cli.main(["mean", deepest]) == 0
+    assert print_expression(parse_expression(deepest)) == "chi(1)"
+    capsys.readouterr()
+    with pytest.raises(InputError, match="MAX_NESTING"):
+        parse_expression("(" + deepest + ")")
+
+
+def test_cli_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, report, elapsed = _main_in_time(["check-measure", str(path), "--shifts", "1"], capsys)
+    assert code == 2 and "recursion limit" in report["error"] and elapsed < 0.5
+
+
+def test_cli_trials_are_capped(capsys):
+    from bohrlab.fleischhack import MAX_TRIALS
+
+    code, report, elapsed = _main_in_time(["verify-extension", "--trials", "100000000"], capsys)
+    assert code == 2 and "MAX_TRIALS" in report["error"] and elapsed < 0.5
+    assert cli.main(["verify-extension", "--trials", "1"]) == 0
+    with pytest.raises(InputError, match="MAX_TRIALS"):
+        extension_battery(FrequencyModule.make(1), trials=MAX_TRIALS + 1)
+
+
+def test_decimal_literals_are_capped_on_the_text():
+    from bohrlab.scalars import MAX_LITERAL_DIGITS, parse_rational
+
+    for text in ("1e1000000", "1e10000000", "-1E+4301", "1" * (MAX_LITERAL_DIGITS + 1), "0.5e99999999999999999999"):
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="MAX_LITERAL_DIGITS"):
+            parse_rational(text)
+        assert time.perf_counter() - t0 < 0.5
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("-2.5e-3") == Fraction(-1, 400)
+    with pytest.raises(InputError, match="MAX_LITERAL_DIGITS"):
+        Generator("c", "1e10000000", Fraction(1))
+
+
+_BIG = "1e10000000"
+
+
+@pytest.mark.parametrize("field", ["re", "im", "breakpoint", "atom_position", "atom_mass", "decimal"])
+def test_cli_json_decimal_fields_are_capped(field, tmp_path, capsys):
+    module = {"generators": [{"symbol": None, "decimal": _BIG if field == "decimal" else "1", "rational_scale": [1, 1]}]}
+    entries = [{"coords": [k], "re": "1" if k == 0 else "0", "im": "0"} for k in range(-1, 2)]
+    entries[0][field if field in ("re", "im") else "re"] = _BIG if field in ("re", "im") else "0"
+    r_part = {"breakpoints": [], "values": [], "atoms": []}
+    if field == "breakpoint":
+        r_part.update(breakpoints=["0", _BIG, "2e10000000"], values=["0", "1", "0"])
+    elif field.startswith("atom"):
+        r_part["atoms"] = [[_BIG, "1/2"] if field == "atom_position" else ["0", _BIG]]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"r_part": r_part, "bohr_part": {"module": module, "entries": entries}}))
+    code, report, elapsed = _main_in_time(["check-measure", str(path), "--shifts", "1"], capsys)
+    assert code == 2 and "MAX_LITERAL_DIGITS" in report["error"] and elapsed < 0.5
+
+
+def test_cli_long_literal_is_out_of_range_not_malformed(capsys):
+    code, report, _ = _main_in_time(["translate", "chi(1)", "--t", "1" + "0" * 5000], capsys)
+    assert code == 2
+    assert "out of range" in report["error"] and "malformed" not in report["error"]
+
+
+def test_equal_symbolic_shifts_share_one_turn_table():
+    from bohrlab.frequencies import turn_table
+
+    m = FrequencyModule.make(1, "sqrt2")
+    a, b = parse_scalar_literal("sqrt2"), parse_scalar_literal("1*sqrt2")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert turn_table(m, a) is turn_table(m, b)
+    assert a != parse_scalar_literal("2*sqrt2") and a != SymbolicReal.rational(1)
+    assert SymbolicReal({"sqrt3": 1, "1": 0}) == SymbolicReal.of_symbol("sqrt3", Fraction(1))
+    with pytest.raises(AttributeError):
+        a.terms = {}

@@ -35,10 +35,11 @@ from bohrlab.fleischhack import (
 from bohrlab.frequencies import turn_of, turn_table
 from bohrlab.hilbert import translation_matrix
 from bohrlab.measures import box_support, check_symmetric_support
-from bohrlab.scalars import EC_ONE, EC_ZERO, symbol_value
+from bohrlab.scalars import EC_ONE, EC_ZERO, PRECISION, working_precision
 from util import (
     chord_of,
     in_two_pi_z,
+    mp_value,
     phase_of,
     random_psd_measure,
     reference_exact,
@@ -71,7 +72,7 @@ def modules():
 
 
 def _symbolic(tag, q=1):
-    return SymbolicReal.of_symbol(tag, Fraction(q), symbol_value(tag))
+    return SymbolicReal.of_symbol(tag, Fraction(q))
 
 
 def _plain_shifts(rng):
@@ -94,8 +95,8 @@ def _symbolic_shifts():
         _symbolic("sqrt3", Fraction(2, 3)),
         _symbolic("pi", Fraction(1, 2)),
         _symbolic("e"),
-        SymbolicReal({"1": Fraction(1), "sqrt2": Fraction(1)}, 1 + mp.sqrt(2)),
-        SymbolicReal({"1": Fraction(3, 4)}, mp.mpf(3) / 4),
+        SymbolicReal({"1": Fraction(1), "sqrt2": Fraction(1)}),
+        SymbolicReal({"1": Fraction(3, 4)}),
     ]
 
 
@@ -297,7 +298,7 @@ def test_symbolic_product_is_summed_per_generator():
 @pytest.mark.parametrize("tag", ["x", "(sqrt2)*pi", "?(e)x(sqrt2)", "sqrt1"])
 def test_a_shift_term_without_a_known_value_is_an_input_error(tag):
     module = FrequencyModule.make(1, "sqrt2")
-    t = SymbolicReal({"sqrt2": Fraction(1), tag: Fraction(2, 3)}, mp.mpf(3))
+    t = SymbolicReal({"sqrt2": Fraction(1), tag: Fraction(2, 3)})
     with pytest.raises(InputError, match=re.escape(repr(tag))):
         turn_table(module, t)
 
@@ -375,7 +376,8 @@ def test_a_precision_switch_rebuilds_the_turn_constants(modules, rng):
     for module in (modules[3], modules[7], modules[9]):
         support = _random_support(module, rng)
         for dps in (None, 80, 30, None):
-            with mp.workdps(dps or mp.mp.dps):
+            dps = dps or PRECISION.dps
+            with working_precision(dps), mp.workdps(dps):  # the library's, then the oracle's
                 for t in shifts:
                     _check_rows(module, support, t, oracle_bits=1200)
 
@@ -432,23 +434,21 @@ def test_every_shift_kind_runs_no_mpmath_after_warm_up(rng, monkeypatch):
     for t in (0.5, PiTimes(Fraction(1, 4)), _symbolic("sqrt2"), _symbolic("sqrt3"), _symbolic("e")):
         turn_table(module, t)  # the module's turn constants per tag at this precision
 
-    class NoMpmath:
-        mp = mp.mp  # the precision is read, not computed with
-
-        def __getattr__(self, name):
-            raise AssertionError(f"mpmath.{name} ran")
-
     def no_fixed_point(*args):
         raise AssertionError("_fixed_point ran")
 
+    def no_constant(*args):
+        raise AssertionError("a symbol constant was computed")
+
+    assert not hasattr(frequencies, "mp")  # mpmath is not a runtime dependency
     monkeypatch.setattr(frequencies, "_fixed_point", no_fixed_point)
-    monkeypatch.setattr(frequencies, "mp", NoMpmath())
+    monkeypatch.setattr(frequencies, "symbol_fixed", no_constant)
     for _ in range(40):
         q, r = (Fraction(int(rng.integers(-50, 51)) or 1, int(rng.integers(1, 50))) for _ in range(2))
         symbolic = [
             _symbolic("sqrt2", q),
             _symbolic("e", r),
-            SymbolicReal({"sqrt3": q, "e": r}, q * mp.sqrt(3) + r * mp.e),
+            SymbolicReal({"sqrt3": q, "e": r}),
         ]
         shifts = [
             *symbolic,  # first, so that the verdict reads them before its early exit
@@ -569,27 +569,18 @@ _shifts = st.one_of(
 )
 
 
-def _shift_value(t):
-    """t at the current precision, and its number of terms."""
-    if isinstance(t, SymbolicReal):
-        return sum(mp.mpf(q.numerator) / q.denominator * symbol_value(k) for k, q in t.terms.items()), len(t.terms)
-    if isinstance(t, PiTimes):
-        return mp.mpf(t.factor.numerator) / t.factor.denominator * mp.pi, 1
-    q = Fraction(t)
-    return mp.mpf(q.numerator) / q.denominator, 1
-
-
 def _check_turn_bound(module, t):
     """Each per-generator fixed-point turn lies within J*1.0001 units of
-    2**-bits of the turn of g_k*t, g_k at the working precision it was
-    read at, computed with twice the table's bits plus t's size."""
+    2**-bits of the turn of g_k*t, J the number of t's terms, computed in
+    mpmath with twice the table's bits plus t's size."""
     table = turn_table(module, t)
     one = 1 << table.bits
     size = max(math.frexp(float(t))[1], 0)
+    terms = len(t.terms) if isinstance(t, SymbolicReal) else 1
     with mp.workprec(2 * table.bits + size + 64):
-        value, terms = _shift_value(t)
+        value = mp_value(t)
         for g, turn in zip(module.generators, table._turns.tolist()):
-            ref = mp.ldexp(g.mp_value * value / (2 * mp.pi), table.bits)
+            ref = mp.ldexp(mp_value(g) * value / (2 * mp.pi), table.bits)
             gap = (turn - ref) % one
             assert min(gap, one - gap) <= terms * 1.0001
     return table
@@ -618,5 +609,5 @@ def test_turn_table_properties(module, t, coords, dps):
             if isinstance(expected, Fraction):
                 assert turns[i] == expected
     # another precision: the constants are rebuilt for its bits
-    with mp.workdps(dps):
+    with working_precision(dps), mp.workdps(dps):
         assert _check_turn_bound(module, t).bits != table.bits

@@ -13,6 +13,8 @@ from bohrlab import (
     C0Function,
     ExactComplex,
     FSMeasure,
+    Frequency,
+    Generator,
     InputError,
     RPart,
 )
@@ -23,6 +25,7 @@ from bohrlab.scalars import (
     EC_ONE,
     EC_ZERO,
     PI_KEY,
+    PRECISION,
     RATIONAL_KEY,
     PiTimes,
     SymbolicReal,
@@ -35,6 +38,10 @@ from bohrlab.scalars import (
     quarter_phase,
     symbol_kind,
 )
+
+# The mpmath oracles below run at the library's working precision unless
+# a test asks for more.
+mp.mp.dps = PRECISION.dps
 
 
 def random_exact_coeff(rng, den=8, span=16):
@@ -252,13 +259,52 @@ def in_two_pi_z(freq, t, tol=1e-12):
     return bool(turn_table(freq.module, t).in_two_pi_z([freq.coords], tol)[0])
 
 
+def symbol_value(tag):
+    """A built-in symbol's value in mpmath, or None if it has none."""
+    if tag == RATIONAL_KEY:
+        return mp.mpf(1)
+    if tag == PI_KEY:
+        return +mp.pi
+    if tag == "e":
+        return +mp.e
+    if tag.startswith("sqrt"):
+        try:
+            n = int(tag[4:])
+        except ValueError:
+            return None
+        if n >= 2:
+            return mp.sqrt(n)
+    return None
+
+
+def _mpf(q):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def mp_value(x):
+    """The value of a generator, a frequency or a shift in mpmath, from its
+    tags and decimals alone."""
+    if isinstance(x, SymbolicReal):
+        return sum((_mpf(q) * symbol_value(k) for k, q in x.terms.items()), mp.mpf(0))
+    if isinstance(x, PiTimes):
+        return _mpf(x.factor) * mp.pi
+    if isinstance(x, Frequency):
+        return sum((c * mp_value(g) for c, g in zip(x.coords, x.module.generators) if c), mp.mpf(0))
+    if isinstance(x, Generator):
+        base = symbol_value(x.symbol) if x.symbol is not None else None
+        return (mp.mpf(x.decimal) if base is None else base) * _mpf(x.scale)
+    if isinstance(x, float):
+        return mp.mpf(x)
+    return _mpf(as_fraction(x))
+
+
 def _reference_times_pi(x):
     """x*pi: the rational term becomes the pi term, and every other term
     an opaque "(tag)*pi"."""
     terms = {}
     for k, v in x.terms.items():
         terms[PI_KEY if k == RATIONAL_KEY else "(" + k + ")*pi"] = v
-    return SymbolicReal(terms, x.approx * mp.pi)
+    return SymbolicReal(terms)
 
 
 def reference_symbolic(freq):
@@ -290,12 +336,12 @@ def _reference_sym_product(a, b):
             n = int(tag[4:])
             return SymbolicReal.rational(a.terms[tag] * b.terms[tag] * n)
     tag = "?(" + "|".join(sorted(a.terms)) + ")x(" + "|".join(sorted(b.terms)) + ")"
-    return SymbolicReal({tag: Fraction(1)}, a.approx * b.approx)
+    return SymbolicReal({tag: Fraction(1)})
 
 
 def reference_product(freq, t):
     """lambda*t as one SymbolicReal; products outside the exactly
-    decidable class degrade to an opaque tag with the numeric value."""
+    decidable class degrade to an opaque tag."""
     sym = reference_symbolic(freq)
     if isinstance(t, PiTimes):
         return _reference_times_pi(sym.scaled(t.factor))
@@ -309,7 +355,7 @@ def reference_turn(freq, t, folded=False):
     if all(k == PI_KEY for k in x.terms):
         u = (x.terms.get(PI_KEY, Fraction(0)) / 2) % 1
         return u - 1 if folded and u > Fraction(1, 2) else u
-    u = (x.approx / (2 * mp.pi)) % 1
+    u = (mp_value(freq) * mp_value(t) / (2 * mp.pi)) % 1
     if folded and u > mp.mpf("0.5"):
         u -= 1
     return float(u)
@@ -340,7 +386,7 @@ def reference_in_two_pi_z(freq, t, tol=1e-12):
     x = reference_product(freq, t)
     if reference_exact(x):
         return all(k == PI_KEY and (v / 2).denominator == 1 for k, v in x.terms.items())
-    u = x.approx / (2 * mp.pi)
+    u = mp_value(freq) * mp_value(t) / (2 * mp.pi)
     return abs(u - mp.nint(u)) < tol
 
 
