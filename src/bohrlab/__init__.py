@@ -16,10 +16,6 @@ _EXPORTS = {
     "errors": ("InputError",),
     "fleischhack": (
         "AgreementReport",
-        "BasisSet",
-        "CompactComplement",
-        "FunctionPreimage",
-        "OpenReal",
         "QMeasure",
         "RealPoint",
         "RPart",
@@ -28,7 +24,6 @@ _EXPORTS = {
         "q_invariance_verdict",
         "r_part_invariance_verdict",
         "theta_tilde",
-        "topology_membership",
         "xi_eval",
     ),
     "frequencies": ("Frequency", "FrequencyModule", "Generator"),
@@ -45,7 +40,6 @@ _EXPORTS = {
     "measures": (
         "FSMeasure",
         "InvarianceReport",
-        "TorusDensity",
         "UniquenessVerdict",
         "box_support",
         "cross_support",

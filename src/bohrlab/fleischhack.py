@@ -10,15 +10,16 @@ themselves live in :mod:`bohrlab.functions`.
 
 Translation extends to both branches without mixing them, and a finite
 measure splits into a line part plus a torus part.  The verifiers here
-certify the two halves of the uniqueness argument: a nonzero finite line
-part cannot be translation invariant (its window masses would telescope
-to infinity), and the torus part is forced to the Haar moments by the
-shift analysis in :mod:`bohrlab.measures`.
+certify the two halves of the uniqueness argument.  A finite line part
+invariant under some t != 0 gives every window [x + k|t|, x + (k+1)|t|)
+the same mass, so each window has mass 0: the line part is invariant
+exactly when its mass is 0, and otherwise one pair of exact interval
+masses witnesses the violation.  The torus part is forced to the Haar
+moments by the shift analysis in :mod:`bohrlab.measures`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ import numpy as np
 from .ap import APFunction
 from .bohr import BohrPoint, iota
 from .errors import InputError
-from .frequencies import FrequencyModule, require_tolerance
+from .frequencies import FrequencyModule, _shift_terms, require_finite_shift, require_tolerance
 from .functions import C0Function, ExtendedFunction
 from .measures import (
     FSMeasure,
@@ -43,7 +44,6 @@ from .scalars import (
     as_fraction,
 )
 
-R_MASS_TOL = 1e-12
 MAX_TRIALS = 10_000  # extension_battery trials: about 0.5 ms each
 
 
@@ -117,66 +117,6 @@ def extension_agreement_check(
 
 
 # ------------------------------------------------------------------
-# topology basis sets
-# ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OpenReal:
-    """Finite union of open real intervals, paired with the empty torus set."""
-
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-
-@dataclass(frozen=True)
-class CompactComplement:
-    """Complement of a finite union of closed intervals, plus the whole torus."""
-
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-
-@dataclass(frozen=True)
-class FunctionPreimage:
-    """Preimage of a finite union of open complex disks under a function."""
-
-    f: ExtendedFunction
-    disks: tuple[tuple[Coeff, RealLike], ...]
-
-
-BasisSet = OpenReal | CompactComplement | FunctionPreimage
-
-
-def _intervals_exact(intervals):
-    return tuple((as_fraction(a), as_fraction(b)) for a, b in intervals)
-
-
-def _in_disk(value: Coeff, center, radius) -> bool:
-    if (
-        isinstance(value, ExactComplex)
-        and isinstance(center, ExactComplex)
-        and isinstance(radius, (int, Fraction))
-    ):
-        diff = value - center
-        return diff.abs2() < Fraction(radius) ** 2
-    return abs(complex(value) - complex(center)) < float(radius)
-
-
-def topology_membership(p: QPoint, basis: BasisSet) -> bool:
-    if isinstance(basis, OpenReal):
-        if not isinstance(p, RealPoint):
-            return False
-        return any(a < p.x < b for a, b in _intervals_exact(basis.intervals))
-    if isinstance(basis, CompactComplement):
-        if not isinstance(p, RealPoint):
-            return True
-        return not any(a <= p.x <= b for a, b in _intervals_exact(basis.intervals))
-    if isinstance(basis, FunctionPreimage):
-        value = xi_eval(p, basis.f)
-        return any(_in_disk(value, c, r) for c, r in basis.disks)
-    raise InputError(f"not a basis set: {basis!r}")
-
-
-# ------------------------------------------------------------------
 # measures on the glued space
 # ------------------------------------------------------------------
 
@@ -235,69 +175,60 @@ class RPart:
                 total += m
         return total
 
-    def support_points(self) -> list[Fraction]:
-        pts = list(self.density.breakpoints)
-        pts.extend(x for x, _ in self.atoms)
-        return sorted(set(pts))
-
 
 @dataclass(frozen=True)
 class RInvarianceReport:
-    """Outcome of the line-part shift test over the spanning interval family.
+    """The line-part verdict for one shift t != 0, by the telescoping
+    theorem.
 
-    ``invariant`` certifies equality of interval masses on the family only;
-    combined with the telescoping chain this pins any invariant finite
-    measure to zero mass.
+    If a finite measure is invariant under t, the disjoint windows
+    [x + k|t|, x + (k+1)|t|), k in Z, all have the same mass, and their
+    masses sum to at most the total mass, so each window has mass 0 and so
+    does the measure.  The line part is therefore invariant exactly when
+    its mass is 0.  Otherwise ``witness`` is I = [a - |t|, a) for the
+    leftmost support point a, and the exact masses are ``mass_interval`` =
+    mu(I) = 0 and ``mass_shifted`` = mu(I + |t|) > 0.
     """
 
     invariant: bool
     witness: tuple[Fraction, Fraction] | None
     mass_interval: Fraction
     mass_shifted: Fraction
-    max_diff: float
-    intervals_checked: int
 
     def __bool__(self) -> bool:
         return self.invariant
 
 
-_CHAIN_CAP = 4000
+def _is_zero_shift(t: RealLike) -> bool:
+    """Whether a shift is exactly 0, decided on its exact terms (a
+    ``SymbolicReal`` is 0 exactly when it has none), not on its float."""
+    require_finite_shift(t)
+    return not any(n for _, n, _ in _shift_terms(t))
 
 
-def r_part_invariance_verdict(r: RPart, t: RealLike, tol: float = R_MASS_TOL) -> RInvarianceReport:
-    """Compare interval masses against their t-translates over a spanning
-    family: breakpoint-aligned intervals, the window chain of width t, and
-    its prefixes."""
-    require_tolerance(tol)
-    tq = abs(as_fraction(t))
-    if tq == 0:
+def r_part_invariance_verdict(r: RPart, t: RealLike) -> RInvarianceReport:
+    """Decide whether the line part is invariant under the shift t != 0 by
+    the theorem of :class:`RInvarianceReport`, with two interval masses.
+
+    The witness uses tau = |t| pinned to a Fraction, as the line branch
+    pins every shift, and the leftmost support point a: an atom, or the
+    first breakpoint, after which the density is positive because
+    ``C0Function`` trims zero end segments.  Either way [a, a + tau) has
+    positive mass.
+    """
+    if _is_zero_shift(t):
         raise InputError("shift must be nonzero")
-    pts = r.support_points()
-    if not pts or r.mass() == 0:
-        return RInvarianceReport(True, None, Fraction(0), Fraction(0), 0.0, 0)
-    a, b = pts[0], pts[-1]
-
-    candidates: list[tuple[Fraction, Fraction]] = []
-    base = sorted({q for p in pts for q in (p - tq, p, p + tq)})
-    candidates.extend((p, q) for p, q in zip(base, base[1:]))
-    candidates.append((a, b))
-    n_windows = min(int(math.ceil(float((b - a) / tq))) + 1, _CHAIN_CAP)
-    for j in range(n_windows):
-        candidates.append((a + j * tq, a + (j + 1) * tq))
-        candidates.append((a, a + (j + 1) * tq))
-
-    worst = Fraction(0)
-    witness = None
-    masses = (Fraction(0), Fraction(0))
-    for lo, hi in candidates:
-        m1 = r.interval_mass(lo, hi)
-        m2 = r.interval_mass(lo + tq, hi + tq)
-        diff = abs(m1 - m2)
-        if diff > worst:
-            worst, witness, masses = diff, (lo, hi), (m1, m2)
-    if float(worst) > tol:
-        return RInvarianceReport(False, witness, masses[0], masses[1], float(worst), len(candidates))
-    return RInvarianceReport(True, None, masses[0], masses[1], float(worst), len(candidates))
+    if r.mass() == 0:
+        return RInvarianceReport(True, None, Fraction(0), Fraction(0))
+    tau = abs(as_fraction(t))
+    if tau == 0:
+        raise InputError(
+            f"shift {t!r} is nonzero but pins to 0 on the line, so it gives no witness interval"
+        )
+    a = min([x for x, _ in r.atoms[:1]] + list(r.density.breakpoints[:1]))
+    return RInvarianceReport(
+        False, (a - tau, a), r.interval_mass(a - tau, a), r.interval_mass(a, a + tau)
+    )
 
 
 class QMeasure:
@@ -333,10 +264,6 @@ class QInvarianceReport:
     haar_distance: float
     gram_identity_defect: float | None
 
-    @property
-    def forced_standard(self) -> bool:
-        return self.verdict == "ForcedStandard"
-
     def __bool__(self) -> bool:
         return self.verdict != "Violated"
 
@@ -345,22 +272,15 @@ def q_invariance_verdict(mu: QMeasure, shifts, tol: float = 1e-12) -> QInvarianc
     """Combine the line-part elimination with the torus-moment analysis.
 
     ``ForcedStandard`` requires: the shifts kill every nonzero support
-    frequency, the measure's own parts comply (line part of negligible
-    mass and invariant, torus moments invariant), so the measure is the
-    zero-line-part Haar pair within tolerance.
+    frequency and the measure's own parts comply: the line part has mass
+    exactly 0 and the torus moments are invariant within ``tol``.  So the
+    measure is the zero-line-part Haar pair.  A line part of positive mass
+    is ``Violated``, with its witness.
     """
-    shifts = list(shifts)
-    nonzero_shifts = [t for t in shifts if as_fraction(t) != 0]
+    nonzero_shifts = [t for t in shifts if not _is_zero_shift(t)]
     if not nonzero_shifts:
         raise InputError("need at least one nonzero shift")
-
-    r_witness = None
-    r_ok = True
-    for t in nonzero_shifts:
-        rep = r_part_invariance_verdict(mu.r_part, t, tol)
-        if not rep.invariant:
-            r_ok, r_witness = False, rep.witness
-            break
+    r_rep = r_part_invariance_verdict(mu.r_part, nonzero_shifts[0])  # any t != 0 decides it
 
     bohr_inv = mu.bohr_part.is_invariant(nonzero_shifts, tol)
     uq = uniqueness_verdict(mu.bohr_part.module, mu.bohr_part.support, nonzero_shifts, tol)
@@ -368,9 +288,9 @@ def q_invariance_verdict(mu: QMeasure, shifts, tol: float = 1e-12) -> QInvarianc
     haar_distance = mu.bohr_part.max_abs_diff(haar)
     r_mass = float(mu.r_mass())
 
-    if not r_ok or not bohr_inv.ok:
+    if not r_rep.invariant or not bohr_inv.ok:
         verdict = "Violated"
-    elif uq.forced and r_mass <= tol:
+    elif uq.forced:
         verdict = "ForcedStandard"
     else:
         verdict = "Undetermined"
@@ -382,7 +302,7 @@ def q_invariance_verdict(mu: QMeasure, shifts, tol: float = 1e-12) -> QInvarianc
             for _, g in mu.bohr_part.gram_blocks()
         )
     return QInvarianceReport(
-        verdict, r_mass, r_witness, uq, bohr_inv, haar_distance, gram_defect
+        verdict, r_mass, r_rep.witness, uq, bohr_inv, haar_distance, gram_defect
     )
 
 

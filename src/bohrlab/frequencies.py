@@ -98,10 +98,16 @@ class Generator:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad decimal literal {self.decimal!r}") from exc
         if self.symbol is not None and known_symbol(self.symbol):
-            # relative above 1: ``named`` writes dps significant digits
+            # to the significant digits written, capped at the working
+            # precision, less 5 (less fewer for a shorter decimal, so it
+            # is still checked to its first digit); relative above 1, as
+            # ``named`` writes dps significant digits
+            written = self.decimal.lower().partition("e")[0].replace(".", "").lstrip("+-0")
+            digits = min(len(written), PRECISION.dps)
+            slack = min(5, digits - 1)
             bits = PRECISION.bits
             known = Fraction(symbol_fixed(self.symbol, bits), 1 << bits)
-            if abs(base - known) > Fraction(1, 10 ** (PRECISION.dps - 5)) * max(1, known):
+            if abs(base - known) > Fraction(10) ** (slack - digits) * max(1, known):
                 raise InputError(
                     f"decimal for symbol {self.symbol!r} does not match its value"
                 )

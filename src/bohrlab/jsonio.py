@@ -2,27 +2,32 @@
 
 Exact rationals travel as strings ('1/3' or terminating decimals like
 '0.5'); floats stay JSON numbers; complex values are [re, im] pairs.
+
+The two measure readers import the measure layers when they run, so a
+command that only writes functions does not load them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ap import APFunction
-from .bohr import BohrPoint
 from .errors import InputError
-from .fleischhack import QMeasure, RPart
 from .frequencies import FrequencyModule, Generator
 from .functions import C0Function, ExtendedFunction
-from .measures import FSMeasure
 from .scalars import (
     coeff_from_json_parts,
     coeff_to_json_pair,
     real_from_json,
     real_to_json,
 )
+
+if TYPE_CHECKING:
+    from .fleischhack import QMeasure
+    from .measures import FSMeasure
 
 
 def _need(obj: dict, key: str, where: str):
@@ -71,18 +76,6 @@ def ap_to_json(f: APFunction) -> dict:
     return {"module": module_to_json(f.module), "terms": terms}
 
 
-def ap_from_json(obj) -> APFunction:
-    module = module_from_json(_need(obj, "module", "function"))
-    coeffs = {}
-    for term in _need(obj, "terms", "function"):
-        coords = _need(term, "coords", "term")
-        freq = module.frequency(*[int(c) for c in coords])
-        coeffs[freq] = coeff_from_json_parts(
-            _need(term, "re", "term"), _need(term, "im", "term")
-        )
-    return APFunction(module, coeffs)
-
-
 def c0_to_json(c0: C0Function) -> dict:
     return {
         "breakpoints": [real_to_json(b) for b in c0.breakpoints],
@@ -90,53 +83,16 @@ def c0_to_json(c0: C0Function) -> dict:
     }
 
 
-def c0_from_json(obj) -> C0Function:
-    bps = [real_from_json(b) for b in _need(obj, "breakpoints", "c0")]
-    vals = [
-        coeff_from_json_parts(v[0], v[1]) for v in _need(obj, "values", "c0")
-    ]
-    return C0Function(bps, vals)
-
-
 def extended_to_json(f: ExtendedFunction) -> dict:
     return {"c0": c0_to_json(f.c0), "ap": ap_to_json(f.ap)}
-
-
-def extended_from_json(obj) -> ExtendedFunction:
-    return ExtendedFunction(
-        c0_from_json(_need(obj, "c0", "extended function")),
-        ap_from_json(_need(obj, "ap", "extended function")),
-    )
-
-
-# -- points -------------------------------------------------------------------
-
-
-def bohr_point_to_json(p: BohrPoint) -> dict:
-    return {
-        "module": module_to_json(p.module),
-        "angles_over_2pi": [real_to_json(t) for t in p.turns],
-    }
-
-
-def bohr_point_from_json(obj) -> BohrPoint:
-    module = module_from_json(_need(obj, "module", "point"))
-    turns = [real_from_json(t) for t in _need(obj, "angles_over_2pi", "point")]
-    return BohrPoint(module, turns)
 
 
 # -- measures -----------------------------------------------------------------
 
 
-def fsmeasure_to_json(mu: FSMeasure) -> dict:
-    entries = []
-    for freq, value in mu.entries.items():
-        re, im = coeff_to_json_pair(value)
-        entries.append({"coords": list(freq.coords), "re": re, "im": im})
-    return {"module": module_to_json(mu.module), "entries": entries}
-
-
 def fsmeasure_from_json(obj) -> FSMeasure:
+    from .measures import FSMeasure
+
     module = module_from_json(_need(obj, "module", "measure"))
     entries = {}
     for item in _need(obj, "entries", "measure"):
@@ -150,19 +106,9 @@ def fsmeasure_from_json(obj) -> FSMeasure:
     return FSMeasure(module, entries)
 
 
-def qmeasure_to_json(mu: QMeasure) -> dict:
-    r = mu.r_part
-    return {
-        "r_part": {
-            "breakpoints": [real_to_json(b) for b in r.density.breakpoints],
-            "values": [real_to_json(v.re) for v in r.density.values],
-            "atoms": [[real_to_json(x), real_to_json(m)] for x, m in r.atoms],
-        },
-        "bohr_part": fsmeasure_to_json(mu.bohr_part),
-    }
-
-
 def qmeasure_from_json(obj) -> QMeasure:
+    from .fleischhack import QMeasure, RPart
+
     r_obj = _need(obj, "r_part", "measure")
     bps = [real_from_json(b) for b in _need(r_obj, "breakpoints", "r_part")]
     vals = [real_from_json(v) for v in _need(r_obj, "values", "r_part")]

@@ -198,7 +198,10 @@ def as_fraction(t: RealLike) -> Fraction:
         return t
     if isinstance(t, int):
         return Fraction(t)
-    x = as_float(t)
+    try:
+        x = as_float(t)
+    except OverflowError:  # a symbolic value past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise InputError(f"the value must be finite, got {t!r}")
     return Fraction(x)

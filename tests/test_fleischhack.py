@@ -8,14 +8,11 @@ from bohrlab import (
     APFunction,
     BohrPoint,
     C0Function,
-    CompactComplement,
     ExactComplex,
     ExtendedFunction,
     FSMeasure,
     FrequencyModule,
-    FunctionPreimage,
     InputError,
-    OpenReal,
     PiTimes,
     QMeasure,
     RPart,
@@ -24,13 +21,13 @@ from bohrlab import (
     extension_agreement_check,
     extension_battery,
     iota,
+    parse_scalar_literal,
     q_invariance_verdict,
     r_part_invariance_verdict,
     theta_tilde,
-    topology_membership,
     xi_eval,
 )
-from util import random_exact_ap, random_hat, random_point, random_rpart
+from util import random_exact_ap, random_hat, random_point, random_rpart, reference_r_part_verdict
 
 M = FrequencyModule.integers()
 M2 = FrequencyModule.make(1, "sqrt2")
@@ -121,6 +118,10 @@ def test_xi_eval_torus_point_kills_c0(rng):
         f = pure_c0(random_hat(rng))
         psi = random_point(M, rng)
         assert complex(xi_eval(psi, f)) == 0
+    # exact on exact turns: the identity and the half-turn point
+    f = ext(C0Function.hat(0, 1, 2), APFunction.character(M, 1))
+    assert xi_eval(BohrPoint.identity(M), f) == ExactComplex(Fraction(1))
+    assert xi_eval(BohrPoint(M, (Fraction(1, 2),)), f) == ExactComplex(Fraction(-1))
 
 
 def test_xi_eval_real_point_sees_both_parts():
@@ -200,48 +201,6 @@ def test_agreement_random_battery(rng):
 
 
 # ------------------------------------------------------------------
-# topology basis sets
-# ------------------------------------------------------------------
-
-
-def test_open_real_membership():
-    b = OpenReal(((Fraction(1), Fraction(3)),))
-    assert topology_membership(RealPoint(2), b)
-    assert not topology_membership(RealPoint(1), b)  # open interval
-    assert not topology_membership(BohrPoint.identity(M), b)
-
-
-def test_compact_complement_membership(rng):
-    b = CompactComplement(((Fraction(-5), Fraction(5)),))
-    assert topology_membership(random_point(M, rng), b)
-    assert not topology_membership(RealPoint(0), b)
-    assert not topology_membership(RealPoint(5), b)  # closed K
-    assert topology_membership(RealPoint(6), b)
-
-
-def test_function_preimage_membership():
-    f = ExtendedFunction(C0Function.zero(), APFunction.character(M, 1))
-    disk = (ExactComplex(Fraction(1)), Fraction(1, 10))
-    b = FunctionPreimage(f, (disk,))
-    # oracle: |e^{0.05 i} - 1| = 2 sin(0.025) = 0.04999...< 0.1
-    assert 2.0 * math.sin(0.025) < 0.1
-    assert topology_membership(RealPoint(0.05), b)
-    assert not topology_membership(RealPoint(3.0), b)
-    # the identity character lands exactly on the center
-    assert topology_membership(BohrPoint.identity(M), b)
-
-
-def test_function_preimage_exact_distance():
-    f = ExtendedFunction(C0Function.zero(), APFunction.character(M, 1))
-    # value at the half-turn point is exactly -1: distance to center 1 is 2
-    psi = BohrPoint(M, (Fraction(1, 2),))
-    b_in = FunctionPreimage(f, ((ExactComplex(Fraction(-1)), Fraction(1, 100)),))
-    b_out = FunctionPreimage(f, ((ExactComplex(Fraction(1)), Fraction(2)),))
-    assert topology_membership(psi, b_in)
-    assert not topology_membership(psi, b_out)  # exact: 2 < 2 fails
-
-
-# ------------------------------------------------------------------
 # measures and the line-part elimination
 # ------------------------------------------------------------------
 
@@ -249,7 +208,8 @@ def test_function_preimage_exact_distance():
 def test_zero_r_part_is_invariant():
     rep = r_part_invariance_verdict(RPart.zero(), 1.0)
     assert rep.invariant
-    assert rep.max_diff == 0.0
+    assert rep.witness is None
+    assert rep.mass_interval == 0 and rep.mass_shifted == 0
 
 
 def test_unit_mass_hat_violation_witness():
@@ -261,7 +221,7 @@ def test_unit_mass_hat_violation_witness():
     lo, hi = rep.witness
     shift_mass = r.interval_mass(lo + 1, hi + 1)
     assert abs(r.interval_mass(lo, hi) - shift_mass) > Fraction(1, 10**12)
-    assert rep.mass_interval == 1 and rep.mass_shifted == 0
+    assert rep.mass_interval == 0 and rep.mass_shifted == 1
 
 
 def test_constant_density_not_expressible():
@@ -306,6 +266,76 @@ def test_random_positive_mass_always_violated(rng):
 def test_r_part_shift_zero_rejected():
     with pytest.raises(InputError, match="nonzero"):
         r_part_invariance_verdict(RPart.zero(), 0)
+
+
+def _random_line_part(rng, kind):
+    """Random hats, atoms alone, or hats with atoms left of, right of or on
+    both sides of the density."""
+    density = C0Function.zero()
+    if kind != "atoms":
+        for _ in range(int(rng.integers(1, 4))):
+            density = density + random_hat(rng)
+    bps = density.breakpoints or (Fraction(0),)
+    positions = []
+    if kind in ("atoms", "left", "both"):
+        positions.append(bps[0] - Fraction(int(rng.integers(1, 40)), 8))
+    if kind in ("atoms", "right", "both"):
+        positions.append(bps[-1] + Fraction(int(rng.integers(1, 40)), 8))
+    return RPart(density, [(x, Fraction(int(rng.integers(1, 9)), 16)) for x in positions])
+
+
+def test_line_verdict_agrees_with_the_interval_scan(rng):
+    kinds = ("hats", "atoms", "left", "right", "both")
+    for k in range(250):
+        r = RPart.zero() if k % 25 == 0 else _random_line_part(rng, kinds[k % 5])
+        if k % 2:
+            t = Fraction(int(rng.integers(4, 80)), int(rng.integers(1, 9)))
+        else:
+            t = float(rng.uniform(0.5, 10.0))
+        t = -t if rng.random() < 0.5 else t
+        rep = r_part_invariance_verdict(r, t)
+        assert rep.invariant == reference_r_part_verdict(r, t)[0] == (r.mass() == 0)
+        if not rep.invariant:
+            lo, hi = rep.witness
+            tau = abs(Fraction(t))
+            assert hi - lo == tau
+            assert r.interval_mass(lo, hi) == rep.mass_interval == 0
+            assert r.interval_mass(lo + tau, hi + tau) == rep.mass_shifted > 0
+
+
+def test_wide_hat_is_decided_with_two_interval_masses(monkeypatch):
+    calls = []
+    interval_mass = RPart.interval_mass
+
+    def counting(self, lo, hi):
+        calls.append((lo, hi))
+        return interval_mass(self, lo, hi)
+
+    monkeypatch.setattr(RPart, "interval_mass", counting)
+    rep = r_part_invariance_verdict(RPart(C0Function.hat(0, 1, 10**6)), Fraction(1, 1000))
+    assert len(calls) <= 2
+    assert not rep.invariant
+    assert rep.witness == (Fraction(-1, 1000), Fraction(0))
+    assert rep.mass_interval == 0 and rep.mass_shifted == Fraction(1, 2 * 10**6)
+
+
+def test_symbolic_shifts_are_decided_by_their_exact_value():
+    tiny = parse_scalar_literal("0." + "0" * 400 + "1*sqrt2")
+    huge = parse_scalar_literal("1" + "0" * 400 + "*sqrt2")
+    assert float(tiny) == 0.0
+    support = box_support(M2, 1)
+    for t in (tiny, huge):
+        rep = q_invariance_verdict(QMeasure.standard(M2, support), [t])
+        assert rep.verdict == "ForcedStandard"
+    # a positive line mass needs the first nonzero shift pinned on the line
+    atom = QMeasure(RPart(C0Function.zero(), [(0, Fraction(1, 2))]), FSMeasure.haar(M2, support))
+    with pytest.raises(InputError, match="pins to 0 on the line"):
+        q_invariance_verdict(atom, [tiny, 1])
+    with pytest.raises(InputError, match="must be finite"):
+        q_invariance_verdict(atom, [huge])
+    rep = q_invariance_verdict(atom, [1, tiny])
+    assert rep.verdict == "Violated"
+    assert rep.r_witness == (Fraction(-1), Fraction(0))
 
 
 # ------------------------------------------------------------------
@@ -364,13 +394,19 @@ def test_q_verdict_needs_nonzero_shift():
 
 
 def test_forced_standard_bounds_r_mass_and_gram(rng):
-    # any measure that passes with a forcing shift set has negligible line
-    # mass and identity moments
+    # a line part of any positive mass, however small, is violated with the
+    # exact witness; ForcedStandard has zero line mass and identity moments
     tiny = C0Function.hat(0, 1, 2, 1).scaled(Fraction(1, 10**13))
     qm = QMeasure(RPart(tiny), FSMeasure.haar(M, box_support(M, 2)))
     rep = q_invariance_verdict(qm, [1])
+    assert rep.verdict == "Violated"
+    assert rep.r_witness == (Fraction(-1), Fraction(0))
+    assert qm.r_part.interval_mass(-1, 0) == 0
+    assert qm.r_part.interval_mass(0, 1) == Fraction(1, 2 * 10**13)
+    assert rep.gram_identity_defect is None
+    rep = q_invariance_verdict(QMeasure.standard(M, box_support(M, 2)), [1])
     assert rep.verdict == "ForcedStandard"
-    assert rep.r_mass <= 1e-12
+    assert rep.r_mass == 0
     assert rep.gram_identity_defect <= 1e-10
 
 

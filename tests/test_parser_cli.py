@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -23,6 +25,7 @@ from bohrlab import (
     print_expression,
     uniqueness_verdict,
 )
+import bohrlab
 from bohrlab import bohr
 from bohrlab.scalars import SymbolicReal
 
@@ -305,28 +308,25 @@ def test_cli_verify_extension():
 
 
 def test_cli_check_measure_hat_r_part(tmp_path):
-    measure = {
-        "r_part": {
-            "breakpoints": ["0", "1/2", "1"],
-            "values": ["0", "1", "0"],
-            "atoms": [],
-        },
-        "bohr_part": {
-            "module": {"generators": [{"symbol": None, "decimal": "1", "rational_scale": [1, 1]}]},
-            "entries": [
-                {"coords": [-1], "re": "0", "im": "0"},
-                {"coords": [0], "re": "1", "im": "0"},
-                {"coords": [1], "re": "0", "im": "0"},
-            ],
-        },
+    haar = {
+        "module": {"generators": [{"symbol": None, "decimal": "1", "rational_scale": [1, 1]}]},
+        "entries": [
+            {"coords": [-1], "re": "0", "im": "0"},
+            {"coords": [0], "re": "1", "im": "0"},
+            {"coords": [1], "re": "0", "im": "0"},
+        ],
     }
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(measure))
-    proc = run_cli("check-measure", str(path), "--shifts", "1")
-    assert proc.returncode == 1
-    report = json.loads(proc.stdout)
-    assert report["verdict"] == "Violated"
-    assert report["r_witness"] is not None
+    hat = {"breakpoints": ["0", "1/2", "1"], "values": ["0", "1", "0"], "atoms": []}
+    # one atom far below any tolerance still makes the line part violated
+    atom = {"breakpoints": [], "values": [], "atoms": [["0", "1/10000000000000"]]}
+    for r_part in (hat, atom):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"r_part": r_part, "bohr_part": haar}))
+        proc = run_cli("check-measure", str(path), "--shifts", "1")
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "Violated"
+        assert report["r_witness"] == [-1.0, 0.0]
 
 
 def test_cli_check_measure_standard(tmp_path):
@@ -347,6 +347,12 @@ def test_cli_check_measure_standard(tmp_path):
     report = json.loads(proc.stdout)
     assert report["verdict"] == "ForcedStandard"
     assert report["gram_identity_defect"] <= 1e-10
+    # shifts whose float is 0 or out of range still force the standard measure
+    glued = os.path.join(os.path.dirname(__file__), "golden", "glued.json")
+    for shift in ("0." + "0" * 400 + "1*sqrt2", "1" + "0" * 400 + "*sqrt2"):
+        proc = run_cli("check-measure", glued, "--shifts", shift)
+        assert proc.returncode == 0, proc.stdout
+        assert json.loads(proc.stdout)["verdict"] == "ForcedStandard"
 
 
 def test_cli_check_bare_bohr_measure(tmp_path):
@@ -577,8 +583,12 @@ _LOADED = (
             ["kronecker", "--generators", "1,sqrt2", "--target", "0,pi", "--eps", "0.1"],
             ("mpmath", "bohrlab.measures", "bohrlab.hilbert"),
         ),
+        (
+            ["translate", "chi(1)", "--t", "1"],
+            ("bohrlab.measures", "bohrlab.fleischhack", "bohrlab.bohr", "bohrlab.hilbert"),
+        ),
     ],
-    ids=["mean", "kronecker"],
+    ids=["mean", "kronecker", "translate"],
 )
 def test_cli_command_loads_only_what_it_runs(argv, absent):
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True)
@@ -598,6 +608,26 @@ def test_package_import_loads_no_module_until_a_name_is_read():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["['bohrlab']", "True", "True"]
+
+
+def test_benchmark_imports_and_package_exports_resolve():
+    # the benchmark imports these names; a deleted export must fail here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    imported = []
+    for name in ("workloads.py", "run.py"):
+        with open(os.path.join(root, "perfbench", name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported += [
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("bohrlab", "bohrlab.jsonio")
+            for alias in node.names
+        ]
+    assert ("bohrlab.jsonio", "qmeasure_from_json") in imported
+    for module, name in imported:  # resolved as ``from module import name`` does
+        getattr(importlib.__import__(module, fromlist=[name]), name)
+    for name in bohrlab.__all__:
+        getattr(bohrlab, name)
 
 
 def _main_in_time(argv, capsys):

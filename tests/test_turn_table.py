@@ -27,10 +27,11 @@ from bohrlab import frequencies
 from bohrlab.fleischhack import (
     C0Function,
     ExtendedFunction,
+    QMeasure,
     RealPoint,
     RPart,
     extension_agreement_check,
-    r_part_invariance_verdict,
+    q_invariance_verdict,
 )
 from bohrlab.frequencies import turn_of, turn_table
 from bohrlab.hilbert import translation_matrix
@@ -504,7 +505,7 @@ def test_bad_tolerances_are_input_errors(tol, rng):
     t = PiTimes(Fraction(1, 2))
     r_part = RPart(C0Function([0, 1, 2], [0, 1, 0]))
     calls = [
-        lambda: r_part_invariance_verdict(r_part, 1, tol),
+        lambda: q_invariance_verdict(QMeasure(r_part, FSMeasure.haar(module, support)), [1], tol),
         lambda: extension_agreement_check(1, RealPoint(0), ExtendedFunction.pure_c0(r_part.density, module), tol),
         lambda: turn_table(module, t).in_two_pi_z(support.rows, tol),
         lambda: in_two_pi_z(module.frequency(0, 0, 1), t, tol),

@@ -1,5 +1,6 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -14,21 +15,25 @@ from bohrlab import (
     ExactComplex,
     FSMeasure,
     Frequency,
+    FrequencyModule,
     Generator,
     InputError,
     RPart,
 )
 from bohrlab.bohr import _CHUNK_FIRST, _CHUNK_MAX, MAX_WINDOWS, KroneckerResult, kronecker_residual
 from bohrlab.frequencies import turn_table
-from bohrlab.measures import _maximal_cliques
+from bohrlab.measures import HERMITIAN_TOL, PSD_TOL, _maximal_cliques
 from bohrlab.scalars import (
     EC_ONE,
     EC_ZERO,
     PI_KEY,
     PRECISION,
     RATIONAL_KEY,
+    Coeff,
     PiTimes,
+    RealLike,
     SymbolicReal,
+    as_float,
     as_fraction,
     c_add,
     c_conj,
@@ -108,6 +113,34 @@ def random_rpart(rng, n_hats=2, target_mass=None):
         dens = dens.scaled(scale)
         r = RPart(dens)
     return r
+
+
+def reference_r_part_verdict(r, t, tol=1e-12):
+    """The interval scan the telescoping theorem replaced, as (invariant,
+    witness): each interval of a spanning family (breakpoint-aligned
+    intervals, the window chain of width |t| from the leftmost support point
+    and its prefixes) has its mass compared with its |t|-translate's, and
+    the largest difference above ``tol`` is the witness."""
+    tq = abs(as_fraction(t))
+    pts = sorted(set(r.density.breakpoints) | {x for x, _ in r.atoms})
+    if not pts or r.mass() == 0:
+        return True, None
+    a, b = pts[0], pts[-1]
+    base = sorted({q for p in pts for q in (p - tq, p, p + tq)})
+    candidates = list(zip(base, base[1:]))
+    candidates.append((a, b))
+    n_windows = min(int(math.ceil(float((b - a) / tq))) + 1, 4000)
+    for j in range(n_windows):
+        candidates.append((a + j * tq, a + (j + 1) * tq))
+        candidates.append((a, a + (j + 1) * tq))
+    worst, witness = Fraction(0), None
+    for lo, hi in candidates:
+        diff = abs(r.interval_mass(lo, hi) - r.interval_mass(lo + tq, hi + tq))
+        if diff > worst:
+            worst, witness = diff, (lo, hi)
+    if float(worst) > tol:
+        return False, witness
+    return True, None
 
 
 # ------------------------------------------------------------------
@@ -612,3 +645,160 @@ def reference_uniqueness_verdict(module, support, shifts, tol=1e-12):
     surviving = tuple(f for f, a in zip(support, alive) if a)
     killers = {f: k for f, k in zip(support, killer_at) if k is not None}
     return ("ForcedHaar" if not surviving else "Undetermined"), surviving, killers
+
+
+# ------------------------------------------------------------------
+# torus densities: an independent, set-level route to moments
+# ------------------------------------------------------------------
+
+
+class TorusDensity:
+    """Nonnegative trigonometric density on the torus (d <= 2) integrating
+    to 1 against the normalized Haar measure."""
+
+    GRID_POINTS = 10_000
+
+    __slots__ = ("module", "coeffs")
+
+    def __init__(self, module: FrequencyModule, coeffs: dict[tuple[int, ...], Coeff]):
+        if module.dim > 2:
+            raise InputError("torus densities are limited to d <= 2")
+        d = module.dim
+        zero = (0,) * d
+        clean: dict[tuple[int, ...], Coeff] = {}
+        for n, c in coeffs.items():
+            n = tuple(int(k) for k in n)
+            if len(n) != d:
+                raise InputError(f"coefficient index {n} has wrong dimension")
+            clean[n] = coeff_of(c)
+        norm = clean.get(zero, EC_ZERO)
+        if complex(norm) != 1:
+            raise InputError("density must integrate to 1 (zero coefficient = 1)")
+        canon: dict[tuple[int, ...], Coeff] = {zero: EC_ONE}
+        seen: set[tuple[int, ...]] = set()
+        for n in clean:
+            if n == zero:
+                continue
+            neg = tuple(-k for k in n)
+            rep = max(n, neg)
+            if rep in seen:
+                continue
+            seen.add(rep)
+            c = clean.get(rep)
+            w = clean.get(tuple(-k for k in rep))
+            if c is None:
+                c = c_conj(w)
+            elif w is not None and abs(complex(w) - complex(c).conjugate()) > HERMITIAN_TOL:
+                raise InputError(f"density coefficients not Hermitian at {rep}")
+            canon[rep] = c
+            canon[tuple(-k for k in rep)] = c_conj(c)
+        self.module = module
+        self.coeffs = canon
+        low = self.min_on_grid()
+        if low < -PSD_TOL:
+            raise InputError(f"density is negative on the torus (min {low:.3e})")
+
+    @staticmethod
+    def uniform(module: FrequencyModule) -> "TorusDensity":
+        return TorusDensity(module, {(0,) * module.dim: EC_ONE})
+
+    @staticmethod
+    def from_amplitude(module: FrequencyModule, amp: dict[tuple[int, ...], Coeff]) -> "TorusDensity":
+        """|q|^2 / mean(|q|^2) for a trig polynomial q: nonnegative by
+        construction, exact when the amplitude coefficients are exact."""
+        amp = {tuple(n): coeff_of(c) for n, c in amp.items()}
+        if not amp:
+            raise InputError("amplitude must have at least one coefficient")
+        total = EC_ZERO
+        for c in amp.values():
+            total = c_add(total, c_mul(c, c_conj(c)))
+        if complex(total) == 0:
+            raise InputError("amplitude is identically zero")
+        if isinstance(total, ExactComplex):
+            inv = ExactComplex(Fraction(1) / total.re)
+        else:
+            inv = 1.0 / complex(total)
+        coeffs: dict[tuple[int, ...], Coeff] = {}
+        for n1, c1 in amp.items():
+            for n2, c2 in amp.items():
+                n = tuple(a - b for a, b in zip(n1, n2))
+                term = c_mul(c_mul(c1, c_conj(c2)), inv)
+                coeffs[n] = c_add(coeffs.get(n, EC_ZERO), term)
+        return TorusDensity(module, coeffs)
+
+    # -- evaluation ------------------------------------------------------
+
+    def _term_arrays(self):
+        ns = list(self.coeffs)
+        cs = np.array([complex(self.coeffs[n]) for n in ns], dtype=np.complex128)
+        return ns, cs
+
+    def eval_grid(self):
+        ns, cs = self._term_arrays()
+        if self.module.dim == 1:
+            th = np.linspace(0.0, 2.0 * math.pi, self.GRID_POINTS, endpoint=False)
+            m = np.array([n[0] for n in ns], dtype=np.float64)
+            return np.exp(1j * np.outer(th, m)) @ cs
+        side = max(int(math.isqrt(self.GRID_POINTS)), 2)
+        th = np.linspace(0.0, 2.0 * math.pi, side, endpoint=False)
+        m1 = np.array([n[0] for n in ns], dtype=np.float64)
+        m2 = np.array([n[1] for n in ns], dtype=np.float64)
+        return (np.exp(1j * np.outer(th, m1)) * cs) @ np.exp(1j * np.outer(m2, th))
+
+    def min_on_grid(self) -> float:
+        return float(np.min(self.eval_grid().real))
+
+    # -- measure operations ----------------------------------------------
+
+    def moments(self, support) -> FSMeasure:
+        """Character moments: mu_hat(lambda_n) = c_{-n} (missing ones are 0),
+        through the checked constructor."""
+        entries = {f: self.coeffs.get(tuple(-c for c in f.coords), EC_ZERO) for f in support}
+        return FSMeasure(self.module, entries)
+
+    def box_measure(self, box) -> float:
+        """Measure of a product of angle intervals (radians, width <= 2*pi)."""
+        box = list(box)
+        if len(box) != self.module.dim:
+            raise InputError(f"box must have {self.module.dim} intervals")
+        ivs = []
+        for lo, hi in box:
+            lo, hi = as_float(lo), as_float(hi)
+            if hi < lo:
+                raise InputError("box interval has negative width")
+            if hi - lo > 2.0 * math.pi + 1e-12:
+                raise InputError("box interval is wider than a full turn")
+            ivs.append((lo, hi))
+        acc = 0j
+        for n, c in self.coeffs.items():
+            term = complex(c)
+            for k, (lo, hi) in enumerate(ivs):
+                m = n[k]
+                if m == 0:
+                    term *= (hi - lo) / (2.0 * math.pi)
+                else:
+                    term *= (cmath.exp(1j * m * hi) - cmath.exp(1j * m * lo)) / (
+                        2.0 * math.pi * 1j * m
+                    )
+            acc += term
+        return float(acc.real)
+
+    def shifted(self, t: RealLike) -> "TorusDensity":
+        """Pushforward density under translation by iota(t)."""
+        phases = turn_table(self.module, t).phases(list(self.coeffs))
+        coeffs = {n: c_mul(c, c_conj(p)) for (n, c), p in zip(self.coeffs.items(), phases)}
+        return TorusDensity(self.module, coeffs)
+
+    def set_invariance_check(self, box, t: RealLike) -> tuple[float, float]:
+        """(measure of box, measure of the box translated back by t): equal
+        for translation-invariant densities."""
+        tf = as_float(t)
+        gs = self.module.float_values
+        moved = [
+            (as_float(lo) - tf * float(gs[k]), as_float(hi) - tf * float(gs[k]))
+            for k, (lo, hi) in enumerate(box)
+        ]
+        return self.box_measure(box), self.box_measure(moved)
+
+    def __repr__(self) -> str:
+        return f"TorusDensity({len(self.coeffs)} coeffs, d={self.module.dim})"
