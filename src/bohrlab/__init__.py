@@ -28,15 +28,7 @@ _EXPORTS = {
     ),
     "frequencies": ("Frequency", "FrequencyModule", "Generator"),
     "functions": ("C0Function", "ExtendedFunction"),
-    "hilbert": (
-        "GramOperator",
-        "UnitarityReport",
-        "gram_matrix",
-        "l2_inner",
-        "translation_matrix",
-        "unitarity_check",
-        "unitarity_defect_matrix",
-    ),
+    "hilbert": ("GramOperator", "UnitarityReport", "gram_matrix", "unitarity_check"),
     "measures": (
         "FSMeasure",
         "InvarianceReport",
@@ -45,7 +37,7 @@ _EXPORTS = {
         "cross_support",
         "uniqueness_verdict",
     ),
-    "parser": ("lower_expression", "parse_expression", "parse_scalar_literal", "print_expression"),
+    "parser": ("lower_expression", "parse_expression", "parse_scalar_literal"),
     "scalars": ("EC_I", "EC_ONE", "EC_ZERO", "ExactComplex", "PiTimes", "SymbolicReal"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,7 +28,6 @@ from .scalars import (
     EC_ZERO,
     ExactComplex,
     RealLike,
-    as_float,
     c_add,
     c_conj,
     c_is_zero,
@@ -143,7 +142,7 @@ class APFunction:
         return self._arrays
 
     def eval(self, t: RealLike) -> complex:
-        tf = as_float(t)
+        tf = float(t)
         acc = 0j
         for freq, c in self.coeffs.items():
             acc += complex(c) * cmath.exp(1j * freq.value * tf)
@@ -154,10 +153,6 @@ class APFunction:
             return np.zeros(len(ts), dtype=np.complex128)
         vals, cs = self._term_arrays()
         return np.exp(1j * np.outer(np.asarray(ts, dtype=np.float64), vals)) @ cs
-
-    def sup_norm_bound(self) -> float:
-        """sum |c_lambda|, an upper bound for sup_t |f(t)|."""
-        return float(sum(abs(c) for c in self.coeffs.values()))
 
     # -- means and inner product ---------------------------------------
 

@@ -65,10 +65,6 @@ class BohrPoint:
         self.turns = turns
 
     @staticmethod
-    def identity(module: FrequencyModule) -> "BohrPoint":
-        return BohrPoint(module, (Fraction(0),) * module.dim)
-
-    @staticmethod
     def from_angles(module: FrequencyModule, angles) -> "BohrPoint":
         """Angles in radians; rational multiples of pi stay exact."""
         return BohrPoint(module, tuple(_angle_to_turn(a) for a in angles))
@@ -77,12 +73,6 @@ class BohrPoint:
         require_same_module(self.module, other.module)
         return BohrPoint(
             self.module, tuple(_turn_add(a, b) for a, b in zip(self.turns, other.turns))
-        )
-
-    def inverse(self) -> "BohrPoint":
-        return BohrPoint(
-            self.module,
-            tuple(-t if isinstance(t, Fraction) else -float(t) for t in self.turns),
         )
 
     def __eq__(self, other) -> bool:
@@ -99,15 +89,6 @@ class BohrPoint:
         return True
 
     __hash__ = None
-
-    def distance(self, other: "BohrPoint") -> float:
-        """Max circular distance between turn vectors (in turns)."""
-        require_same_module(self.module, other.module)
-        worst = 0.0
-        for a, b in zip(self.turns, other.turns):
-            d = abs(float(a) - float(b)) % 1.0
-            worst = max(worst, min(d, 1.0 - d))
-        return worst
 
     # -- evaluation ------------------------------------------------------
 

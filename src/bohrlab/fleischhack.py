@@ -284,8 +284,10 @@ def q_invariance_verdict(mu: QMeasure, shifts, tol: float = 1e-12) -> QInvarianc
 
     bohr_inv = mu.bohr_part.is_invariant(nonzero_shifts, tol)
     uq = uniqueness_verdict(mu.bohr_part.module, mu.bohr_part.support, nonzero_shifts, tol)
-    haar = FSMeasure.haar(mu.bohr_part.module, mu.bohr_part.support)
-    haar_distance = mu.bohr_part.max_abs_diff(haar)
+    # the Haar moments are 0 off the zero frequency and 1 at it
+    sizes = mu.bohr_part._moment_sizes().tolist()
+    sizes[len(sizes) // 2] = 0.0
+    haar_distance = max(sizes)
     r_mass = float(mu.r_mass())
 
     if not r_rep.invariant or not bohr_inv.ok:

@@ -239,8 +239,18 @@ class FrequencyModule:
             if rel[np.flatnonzero(rel)[-1]] > 0:
                 rel = -rel  # last nonzero coefficient negative
             combo = " + ".join(f"{int(c)}*g{k+1}" for k, c in enumerate(rel) if c != 0)
+            # sum_k n_k q_k V_tag is exactly 0 when each tag's sum is
+            by_tag: dict[str, Fraction] = {}
+            for n, g in zip(rel.tolist(), gens):
+                q, tag = g.numeric
+                by_tag[tag] = by_tag.get(tag, 0) + n * q
+            if not any(by_tag.values()):
+                raise InputError(
+                    f"generators are rationally dependent: {combo} = 0 within {RELATION_TOL}"
+                )
             raise InputError(
-                f"generators are rationally dependent: {combo} = 0 within {RELATION_TOL}"
+                f"generators have an integer near-relation with |n_i| <= {RELATION_BOUND}: "
+                f"{combo} is within {RELATION_TOL} of 0"
             )
 
     def __hash__(self) -> int:
@@ -562,19 +572,16 @@ class TurnTable:
             out[view.opaque] = np.minimum(u, one - u) < -((-p << self.bits) // q)  # ceil(tol * one)
         return out
 
-    def turns(self, rows, folded: bool = False) -> list[Fraction | float]:
+    def turns(self, rows) -> list[Fraction | float]:
         """lambda*t/(2*pi) mod 1 per row: an exact Fraction when the product
         is a rational multiple of pi, else a float rounded from the
-        fixed-point turn.  ``folded`` maps the turns into (-1/2, 1/2]."""
+        fixed-point turn."""
         view = self._view(rows)
-        one, den, two_den = 1 << self.bits, self._den, 2 * self._den
-        out: list[Fraction | float] = []
-        for numeric, u in zip(view.numeric.tolist(), view.num.tolist()):
-            if numeric:
-                out.append((u - one if folded and 2 * u > one else u) / one)
-            else:
-                out.append(Fraction(u - two_den if folded and u > den else u, two_den))
-        return out
+        one, two_den = 1 << self.bits, 2 * self._den
+        return [
+            u / one if numeric else Fraction(u, two_den)
+            for numeric, u in zip(view.numeric.tolist(), view.num.tolist())
+        ]
 
     def chords(self, rows) -> np.ndarray:
         """|e^{i*lambda*t} - 1| = 2|sin(lambda*t/2)| per row, exactly 0 for

@@ -108,19 +108,6 @@ class C0Function:
 
     __hash__ = None
 
-    def sup_norm(self) -> float:
-        # |f| along a segment is convex, so the max sits at a breakpoint
-        return max((abs(v) for v in self.values), default=0.0)
-
-    def max_slope(self) -> float:
-        worst = 0.0
-        for (a, b), (va, vb) in zip(
-            zip(self.breakpoints, self.breakpoints[1:]),
-            zip(self.values, self.values[1:]),
-        ):
-            worst = max(worst, abs(vb - va) / float(b - a))
-        return worst
-
     def integral(self) -> ExactComplex:
         acc = EC_ZERO
         for (a, b), (va, vb) in zip(
@@ -142,10 +129,6 @@ class ExtendedFunction:
     def __init__(self, c0: C0Function, ap: APFunction):
         self.c0 = c0
         self.ap = ap
-
-    @staticmethod
-    def pure_c0(c0: C0Function, module: FrequencyModule) -> "ExtendedFunction":
-        return ExtendedFunction(c0, APFunction.zero(module))
 
     @property
     def module(self) -> FrequencyModule:

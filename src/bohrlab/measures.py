@@ -38,28 +38,30 @@ Only ``__init__``, which takes moment data from outside, checks
 normalization and Hermitian symmetry; every other construction writes
 the positive half and takes the negative half as its conjugate.  One
 builder adopts the positive half and runs the PSD check unless the
-moments are PSD by construction, which ``FSMeasure.psd_by_construction``
+moments are PSD by construction, which the ``_psd_by_construction`` slot
 records.  Haar blocks are the identity, and a Dirac point's blocks
-(``from_point``, ``point_mass_identity``) are the rank-one v v*.  A
-``mixture`` whose parts all carry the flag carries it too: its weights
-are checked to be finite, real and nonnegative, and to sum to 1 (exactly
-when every weight is exact, within 1e-12 otherwise), so each of its Gram
-blocks is a convex combination of the parts' PSD blocks, and its
-smallest eigenvalue is at least the weighted sum of theirs.  "By
-construction" holds up to the rounding of float Dirac phases and of the
-float combination.  ``__init__``, a mixture with any other part, and the
-translation and projection results run the PSD check.
+(``from_point``) are the rank-one v v*.  A ``mixture`` whose parts all
+carry the flag carries it too: its weights are checked to be finite,
+real and nonnegative, and to sum to 1 (exactly when every weight is
+exact, within 1e-12 otherwise), so each of its Gram blocks is a convex
+combination of the parts' PSD blocks, and its smallest eigenvalue is at
+least the weighted sum of theirs.  "By construction" holds up to the
+rounding of float Dirac phases and of the float combination.  A mixture
+with any other part and a projection run the PSD check against
+``PSD_TOL``.  So does ``__init__`` on data with a float moment; exact data
+from outside must pass the rational certificate ``exact_psd``, which
+``eigvalsh`` filters so that only blocks near singular run in Fractions.
 
 Translation by t multiplies mu_hat(lambda) by e^{i*lambda*t}, so a measure
 is invariant under a set of shifts exactly when the shifts kill every
 nonzero moment.  ``uniqueness_verdict`` decides whether some shift
 forces each moment to vanish; when every nonzero frequency is killed the
-only surviving moment data is the Haar measure's.  Pushforwards,
-invariance reports, projections and verdicts take every phase of a
-shift from its :class:`bohrlab.frequencies.TurnTable`, which evaluates
-the support's coordinate rows once and keeps that integer view: the
-projection, invariance report and verdict of a shift over one support
-share one pass.  Decisions are exact from integer keys for rational, pi
+only surviving moment data is the Haar measure's.  Invariance reports,
+projections and verdicts take every phase of a shift from its
+:class:`bohrlab.frequencies.TurnTable`, which evaluates the support's
+coordinate rows once and keeps that integer view: the projection,
+invariance report and verdict of a shift over one support share one
+pass.  Decisions are exact from integer keys for rational, pi
 and square-root products, and numeric against ``tol`` from fixed-point
 turns when an opaque symbol is involved; ``tol`` must be finite and
 nonnegative, and a float shift finite.
@@ -92,8 +94,6 @@ from .scalars import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
-    RealLike,
-    c_mul,
     coeff_of,
     phase_from_turn,
     quarter_phase,
@@ -438,13 +438,17 @@ class FSMeasure:
             elif abs(complex(w) - complex(v).conjugate()) > HERMITIAN_TOL:
                 raise InputError(f"moments not Hermitian at {f.coords}")
             half.append(v)
-        self._build(module, support, *_coeff_half(half), False)
+        self._build(module, support, *_coeff_half(half), False, certify_exact=True)
 
-    def _build(self, module, support: Support, half, exact, by_construction: bool) -> "FSMeasure":
+    def _build(
+        self, module, support: Support, half, exact, by_construction: bool, certify_exact: bool = False
+    ) -> "FSMeasure":
         """Adopt the positive half's complex128 vector ``half`` and exact
         sidecar ``exact`` on a checked support of ``module``, and return the
         measure.  The PSD check runs unless ``by_construction`` is set
-        (Haar, a Dirac point, a convex mixture of such measures)."""
+        (Haar, a Dirac point, a convex mixture of such measures): the
+        smallest Gram eigenvalue must reach -``PSD_TOL``, or, with
+        ``certify_exact`` on exact moments, :meth:`exact_psd` must hold."""
         require_same_module(module, support.module)
         self.module = module
         self.support = support
@@ -452,18 +456,16 @@ class FSMeasure:
         self._exact = exact
         self._psd_by_construction = by_construction
         self._entries = None
-        if not by_construction:
+        if by_construction:
+            return self
+        if certify_exact and self.is_exact():
+            if not self.exact_psd():
+                raise InputError("moment data is not positive definite (exact certificate fails)")
+        else:
             defect = self.psd_defect()
             if defect < -PSD_TOL:
                 raise InputError(f"moment data is not positive definite (defect {defect:.3e})")
         return self
-
-    @property
-    def psd_by_construction(self) -> bool:
-        """Whether the moments are positive definite by construction (Haar,
-        a Dirac point, or a convex mixture of such measures) rather than by
-        the PSD check on this measure's own data."""
-        return self._psd_by_construction
 
     # -- constructors --------------------------------------------------
 
@@ -474,15 +476,6 @@ class FSMeasure:
         m = len(support) // 2
         half = np.zeros(m, dtype=np.complex128)
         return FSMeasure.__new__(FSMeasure)._build(module, support, half, [EC_ZERO] * m, True)
-
-    @staticmethod
-    def point_mass_identity(module: FrequencyModule, support) -> "FSMeasure":
-        """The Dirac measure at the identity: every moment, and so every
-        entry of every Gram block, is 1."""
-        support = check_symmetric_support(support)
-        m = len(support) // 2
-        half = np.ones(m, dtype=np.complex128)
-        return FSMeasure.__new__(FSMeasure)._build(module, support, half, [EC_ONE] * m, True)
 
     @staticmethod
     def from_point(module: FrequencyModule, support, psi: BohrPoint) -> "FSMeasure":
@@ -522,7 +515,7 @@ class FSMeasure:
         if any(m.support != support for m in measures):
             raise InputError("mixture components must share a support set")
         half, exact = _mixture_half(weights, measures)
-        by_construction = all(m.psd_by_construction for m in measures)
+        by_construction = all(m._psd_by_construction for m in measures)
         return FSMeasure.__new__(FSMeasure)._build(module, support, half, exact, by_construction)
 
     # -- access ----------------------------------------------------------
@@ -563,10 +556,6 @@ class FSMeasure:
 
     # -- positive definiteness -------------------------------------------
 
-    def _moment_vector(self) -> np.ndarray:
-        """The moments as complex128, in support order (read-only)."""
-        return self._vec
-
     def _moment_sizes(self) -> np.ndarray:
         """|mu_hat(lambda)| in support order, as Python's complex abs gives
         them (``np.abs`` on complex128 may differ in the last bit)."""
@@ -588,24 +577,38 @@ class FSMeasure:
         return worst
 
     def exact_psd(self) -> bool | None:
-        """Rational-arithmetic PSD certificate; None when entries are floats."""
+        """Rational-arithmetic PSD certificate; None when entries are floats.
+
+        ``eigvalsh`` filters the Gram blocks, and only a block whose
+        smallest computed eigenvalue lies within ``bound`` of zero runs
+        :func:`_exact_psd`.  For an n x n block A with largest entry size
+        a, the bound n^2 * 2^-45 * a covers both roundings, with u = 2^-53:
+        the complex128 entries are A + E with |E_ij| <= u |A_ij|, so
+        ||E||_2 <= ||E||_F <= n u a; ``eigvalsh`` (Householder
+        tridiagonalisation and QR) is backward stable, its eigenvalues being
+        exact for A + E + F with ||F||_2 <= c n u ||A + E||_2 <= c n^2 u
+        (1 + u) a for a modest constant c.  By Weyl's inequality
+        each computed eigenvalue is within (n + c n^2 (1 + u)) u a <= n^2
+        2^8 u a of the exact one whenever c < 254.  A block above the bound
+        is then PSD, and one below minus the bound is not."""
         if not self.is_exact():
             return None
-        vals = self._values()
-        for table in self.support.index.tables:
-            if not _exact_psd([[vals[k] for k in row] for row in table.tolist()]):
+        vals = None
+        for stack in self.support.index.stacks:
+            blocks = self._vec[stack]
+            n = stack.shape[1]
+            bound = n * n * 2.0**-45 * np.abs(blocks).max(axis=(1, 2))
+            low = np.linalg.eigvalsh(blocks).min(axis=1)
+            if (low < -bound).any():
                 return False
+            for table in stack[low <= bound]:
+                if vals is None:
+                    vals = self._values()
+                if not _exact_psd([[vals[k] for k in row] for row in table.tolist()]):
+                    return False
         return True
 
     # -- translation -------------------------------------------------------
-
-    def pushforward(self, t: RealLike) -> "FSMeasure":
-        """Image under translation by iota(t): mu_hat(lambda) *= e^{i*lambda*t}."""
-        m = len(self._exact)
-        phases = turn_table(self.module, t).phases(self.support.rows)[m + 1 :]
-        half = [c_mul(p, v) for p, v in zip(phases, self._values()[m + 1 :])]
-        mu = FSMeasure.__new__(FSMeasure)
-        return mu._build(self.module, self.support, *_coeff_half(half), False)
 
     def is_invariant(self, shifts, tol: float = 1e-12) -> "InvarianceReport":
         """Moment form of translation invariance: |mu_hat(lambda)| *

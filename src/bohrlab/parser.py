@@ -317,46 +317,6 @@ def parse_generator_literal(src: str) -> Generator:
 
 
 # ------------------------------------------------------------------
-# printing (canonical, reparseable)
-# ------------------------------------------------------------------
-
-
-def print_expression(node: Expression) -> str:
-    return _print(node, head=True)
-
-
-def _print(node: Expression, head: bool = False) -> str:
-    if isinstance(node, Num):
-        text = format_rational(node.value)
-        return text if node.value >= 0 or head else f"({text})"
-    if isinstance(node, Imag):
-        return "i"
-    if isinstance(node, Chi):
-        q = format_rational(node.freq.factor)
-        if node.freq.symbol is None:
-            return f"chi({q})"
-        return f"chi({q}*{node.freq.symbol})"
-    if isinstance(node, Hat):
-        return f"hat({format_rational(node.a)}, {format_rational(node.b)}, {format_rational(node.c)})"
-    if isinstance(node, Prod):
-        parts = [
-            f"({_print(f)})" if isinstance(f, (Sum, Prod)) else _print(f)
-            for f in node.factors
-        ]
-        return "*".join(parts)
-    if isinstance(node, Sum):
-        out = []
-        for idx, (sign, term) in enumerate(node.terms):
-            rendered = f"({_print(term)})" if isinstance(term, Sum) else _print(term, head=idx == 0 and sign > 0)
-            if idx == 0:
-                out.append(rendered if sign > 0 else f"-{rendered}")
-            else:
-                out.append(f"+ {rendered}" if sign > 0 else f"- {rendered}")
-        return " ".join(out)
-    raise InputError(f"not an expression node: {node!r}")
-
-
-# ------------------------------------------------------------------
 # lowering to an ExtendedFunction
 # ------------------------------------------------------------------
 

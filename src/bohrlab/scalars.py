@@ -139,9 +139,6 @@ class ExactComplex:
     def conj(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -185,12 +182,6 @@ class PiTimes:
 RealLike = Union[int, float, Fraction, PiTimes, "SymbolicReal"]
 
 
-def as_float(t: RealLike) -> float:
-    if isinstance(t, PiTimes):
-        return t.value
-    return float(t)
-
-
 def as_fraction(t: RealLike) -> Fraction:
     """Pin a real-like value to one definite rational (floats convert
     exactly); NaN and infinities are refused."""
@@ -199,7 +190,7 @@ def as_fraction(t: RealLike) -> Fraction:
     if isinstance(t, int):
         return Fraction(t)
     try:
-        x = as_float(t)
+        x = float(t)
     except OverflowError:  # a symbolic value past the float range
         x = math.inf
     if not math.isfinite(x):

@@ -135,7 +135,7 @@ def test_inner_hermitian_and_positive(rng):
         assert isinstance(ff, ExactComplex)
         assert ff.im == 0
         # <f, f> = sum |c|^2 exactly
-        total = sum(c.abs2() for c in f.coeffs.values())
+        total = sum(c.re**2 + c.im**2 for c in f.coeffs.values())
         assert ff.re == total
 
 
@@ -189,14 +189,6 @@ def test_continuity_modulus_lipschitz_decay(rng):
     for k in range(1, 27):
         delta = 2.0 ** (-k)
         assert f.continuity_modulus(t, t + delta) <= lip * delta * (1 + 1e-9)
-
-
-def test_sup_norm_bound_spot_check(rng):
-    for _ in range(10):
-        f = random_exact_ap(M, rng)
-        bound = f.sup_norm_bound()
-        for t in rng.uniform(-20, 20, 30):
-            assert abs(f.eval(t)) <= bound + 1e-12
 
 
 @st.composite

@@ -18,21 +18,23 @@ from bohrlab import (
 )
 from bohrlab import bohr
 from bohrlab.bohr import MAX_WINDOWS, _first_return, _in_sweep_order, _returns
-from util import brute_kronecker, random_exact_ap, random_point, reference_window_sweep
+from util import (
+    brute_kronecker,
+    identity_point,
+    random_exact_ap,
+    random_point,
+    reference_window_sweep,
+    turn_distance,
+)
 
 M1 = FrequencyModule.integers()
 M2 = FrequencyModule.make(1, "sqrt2")
 
 
 def test_identity_is_neutral(rng):
-    e = BohrPoint.identity(M2)
+    e = identity_point(M2)
     psi = random_point(M2, rng)
     assert e * psi == psi
-
-
-def test_inverse_cancels(rng):
-    psi = BohrPoint(M2, (Fraction(3, 7), Fraction(1, 3)))
-    assert psi * psi.inverse() == BohrPoint.identity(M2)
 
 
 def test_angle_addition_mod_two_pi():
@@ -45,8 +47,8 @@ def test_angle_addition_mod_two_pi():
 def test_group_laws_random(rng):
     for _ in range(30):
         a, b, c = (random_point(M2, rng) for _ in range(3))
-        assert ((a * b) * c).distance(a * (b * c)) < 1e-12
-        assert (a * b).distance(b * a) < 1e-12
+        assert turn_distance((a * b) * c, a * (b * c)) < 1e-12
+        assert turn_distance(a * b, b * a) < 1e-12
 
 
 def test_character_property(rng):
@@ -61,7 +63,7 @@ def test_character_property(rng):
 
 
 def test_iota_at_zero_is_identity():
-    assert iota(M2, 0) == BohrPoint.identity(M2)
+    assert iota(M2, 0) == identity_point(M2)
 
 
 def test_iota_is_homomorphism_exact_turns():
@@ -76,7 +78,7 @@ def test_iota_is_homomorphism_float(rng):
         x, y = rng.uniform(-50, 50, 2)
         lhs = iota(M2, float(x)) * iota(M2, float(y))
         rhs = iota(M2, float(x) + float(y))
-        assert lhs.distance(rhs) < 1e-12
+        assert turn_distance(lhs, rhs) < 1e-12
 
 
 def test_iota_pi_half_turn_and_char():
@@ -110,7 +112,7 @@ def test_translated_point_eval_picks_up_phase(rng):
 
 
 def test_eval_module_mismatch():
-    psi = BohrPoint.identity(M1)
+    psi = identity_point(M1)
     with pytest.raises(InputError):
         psi.eval_ap(APFunction.character(M2, 1, 0))
 
@@ -122,7 +124,7 @@ def test_eval_module_mismatch():
 
 def test_kronecker_requires_positive_eps():
     with pytest.raises(InputError):
-        kronecker_approx(BohrPoint.identity(M1), 0.0, 10.0)
+        kronecker_approx(identity_point(M1), 0.0, 10.0)
 
 
 def test_kronecker_d1_exact_preimage():

@@ -27,7 +27,17 @@ from bohrlab import (
     theta_tilde,
     xi_eval,
 )
-from util import random_exact_ap, random_hat, random_point, random_rpart, reference_r_part_verdict
+from util import (
+    identity_point,
+    point_mass_identity,
+    random_exact_ap,
+    random_hat,
+    random_point,
+    random_psd_measure,
+    random_rpart,
+    reference_r_part_verdict,
+    turn_distance,
+)
 
 M = FrequencyModule.integers()
 M2 = FrequencyModule.make(1, "sqrt2")
@@ -86,21 +96,16 @@ def test_c0_trims_flat_zero_tails():
     assert f.breakpoints == (Fraction(1), Fraction(2), Fraction(3))
 
 
-def test_c0_sup_norm_and_slope():
-    h = C0Function.hat(0, 1, 3, 2)
-    assert h.sup_norm() == 2.0
-    assert h.max_slope() == 2.0  # left flank rises 2 over width 1
-
-
 def test_c0_pullback_lipschitz_bound(rng):
+    # |f| is convex along a segment, so both maxima sit at breakpoints
     for _ in range(20):
         f = random_hat(rng)
-        L = f.max_slope()
+        segments = zip(zip(f.breakpoints, f.breakpoints[1:]), zip(f.values, f.values[1:]))
+        L = max(abs(vb - va) / float(b - a) for (a, b), (va, vb) in segments)
         t = float(rng.uniform(-3, 3))
         s = t + float(rng.uniform(-0.5, 0.5))
-        ft, fs = f.translate(t), f.translate(s)
-        diff = ft + fs.scaled(-1)
-        assert diff.sup_norm() <= L * abs(t - s) + 1e-12
+        diff = f.translate(t) + f.translate(s).scaled(-1)
+        assert max((abs(v) for v in diff.values), default=0.0) <= L * abs(t - s) + 1e-12
 
 
 # ------------------------------------------------------------------
@@ -120,7 +125,7 @@ def test_xi_eval_torus_point_kills_c0(rng):
         assert complex(xi_eval(psi, f)) == 0
     # exact on exact turns: the identity and the half-turn point
     f = ext(C0Function.hat(0, 1, 2), APFunction.character(M, 1))
-    assert xi_eval(BohrPoint.identity(M), f) == ExactComplex(Fraction(1))
+    assert xi_eval(identity_point(M), f) == ExactComplex(Fraction(1))
     assert xi_eval(BohrPoint(M, (Fraction(1, 2),)), f) == ExactComplex(Fraction(-1))
 
 
@@ -139,12 +144,12 @@ def test_theta_tilde_identity_both_branches(rng):
     p = RealPoint(Fraction(7, 3))
     assert theta_tilde(0, p) == p
     psi = random_point(M2, rng)
-    assert theta_tilde(0, psi).distance(psi) == 0.0
+    assert turn_distance(theta_tilde(0, psi), psi) == 0.0
 
 
 def test_theta_tilde_on_identity_gives_iota():
     t = PiTimes(Fraction(1, 3))
-    moved = theta_tilde(t, BohrPoint.identity(M))
+    moved = theta_tilde(t, identity_point(M))
     assert moved == iota(M, t)
 
 
@@ -158,7 +163,7 @@ def test_theta_tilde_group_law(rng):
         psi = random_point(M2, rng)
         lhs2 = theta_tilde(s, theta_tilde(t, psi))
         rhs2 = theta_tilde(s + t, psi)
-        assert lhs2.distance(rhs2) < 1e-12
+        assert turn_distance(lhs2, rhs2) < 1e-12
 
 
 def test_theta_tilde_preserves_branch(rng):
@@ -352,6 +357,17 @@ def test_qmeasure_standard_is_forced_standard():
     assert rep.gram_identity_defect == 0.0
 
 
+def test_haar_distance_is_the_largest_nonzero_moment(rng):
+    # read from the moment sizes, bit for bit the distance to a built Haar measure
+    support = box_support(M2, 2)
+    for k in range(300):
+        haar_weight = 0.25 if k % 3 == 0 else None  # float mixture weights
+        mu = random_psd_measure(M2, support, rng, int(rng.integers(1, 4)), haar_weight)
+        rep = q_invariance_verdict(QMeasure(RPart.zero(), mu), [1])
+        assert rep.haar_distance.hex() == mu.max_abs_diff(FSMeasure.haar(M2, support)).hex()
+    assert q_invariance_verdict(QMeasure.standard(M2, [M2.zero()]), [1]).haar_distance == 0.0
+
+
 def test_qmeasure_with_hat_r_part_is_violated():
     density = C0Function.hat(0, Fraction(1, 2), 1, 1).scaled(Fraction(1, 2))
     qm = QMeasure(RPart(density), FSMeasure.haar(M, box_support(M, 2)))
@@ -374,7 +390,7 @@ def test_qmeasure_undetermined_with_periodic_shift():
 
 
 def test_qmeasure_bohr_violation_detected():
-    pm = FSMeasure.point_mass_identity(M, box_support(M, 1))
+    pm = point_mass_identity(M, box_support(M, 1))
     qm = QMeasure(RPart.zero(), pm)
     rep = q_invariance_verdict(qm, [1])
     assert rep.verdict == "Violated"

@@ -8,7 +8,7 @@ import pytest
 
 from bohrlab import FrequencyModule, Generator, InputError
 from bohrlab.frequencies import RELATION_BOUND, RELATION_TOL, turn_of
-from bohrlab.scalars import SQUAREFREE_LIMIT, PiTimes, symbol_kind
+from bohrlab.scalars import SQUAREFREE_LIMIT, PiTimes, SymbolicReal, symbol_kind
 from util import brute_relation, chord_of, in_two_pi_z
 
 
@@ -175,13 +175,22 @@ def _float_generator(x: float) -> Generator:
 
 
 def _oracle_message(gens) -> str | None:
-    """The refusal the full scan gives: its first hit over its gcd."""
+    """The refusal the full scan gives: its first hit over its gcd, called
+    a dependence only when the symbolic sum is exactly zero."""
     rel = brute_relation(np.array([g.value for g in gens]), RELATION_BOUND, RELATION_TOL)
     if not rel.any():
         return None
     rel = rel // math.gcd(*rel.tolist())
     combo = " + ".join(f"{int(c)}*g{k+1}" for k, c in enumerate(rel) if c != 0)
-    return f"generators are rationally dependent: {combo} = 0 within {RELATION_TOL}"
+    total = SymbolicReal.zero()
+    for n, g in zip(rel.tolist(), gens):
+        total = total + g.symbolic.scaled(Fraction(n))
+    if total == SymbolicReal.zero():
+        return f"generators are rationally dependent: {combo} = 0 within {RELATION_TOL}"
+    return (
+        f"generators have an integer near-relation with |n_i| <= {RELATION_BOUND}: "
+        f"{combo} is within {RELATION_TOL} of 0"
+    )
 
 
 def _refusal(gens) -> str | None:
@@ -270,6 +279,9 @@ ADVERSARIAL_SETS = {
     "large_independent_pair": [10**7, ("sqrt2", 10**7)],
     "one_step_past_2_23": [2**23, _float_generator(2**23 + 2**-29)],
     "huge_dependent_d3": [10**9, 3 * 10**9, "sqrt2"],
+    # independent over Q, but within the tolerance of an integer relation
+    "five_roots_and_pi": [1, "pi", "sqrt7", "sqrt17", "sqrt23"],
+    "five_roots": [1, "sqrt6", "sqrt7", "sqrt17", "sqrt19"],
 }
 ACCEPTED_SETS = (
     "coefficient_past_bound",

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from bohrlab import (
+    APFunction,
     FSMeasure,
     FrequencyModule,
     InputError,
     PiTimes,
     box_support,
     gram_matrix,
-    l2_inner,
-    translation_matrix,
     unitarity_check,
-    unitarity_defect_matrix,
     uniqueness_verdict,
 )
-from util import random_exact_ap, random_psd_measure
+from bohrlab.frequencies import turn_table
+from util import point_mass_identity, random_exact_ap, random_psd_measure
 
 M = FrequencyModule.integers()
 F3 = box_support(M, 3)
@@ -27,13 +26,25 @@ def basis(*ks):
     return [M.frequency(k) for k in ks]
 
 
+def translation_matrix(t, basis):
+    """D_t = diag(e^{i lambda_k t}), the translation operator in the character basis."""
+    return np.diag([complex(p) for p in turn_table(M, t).phases([f.coords for f in basis])])
+
+
+def l2_inner(mu, f, g):
+    """<f, g> under mu as the Gram form: sum c_i conj(d_j) mu_hat(lambda_i - lambda_j)."""
+    b = sorted({*f.coeffs, *g.coeffs}, key=lambda x: x.coords)
+    c, d = (np.array([complex(h.coeff(x)) for x in b]) for h in (f, g))
+    return complex(c @ gram_matrix(mu, b).matrix @ d.conj())
+
+
 def test_haar_gram_is_identity():
     g = gram_matrix(FSMeasure.haar(M, F3), basis(0, 1, 2))
     assert np.array_equal(g.matrix, np.eye(3))
 
 
 def test_point_mass_gram_is_all_ones():
-    g = gram_matrix(FSMeasure.point_mass_identity(M, F3), basis(0, 1, 2))
+    g = gram_matrix(point_mass_identity(M, F3), basis(0, 1, 2))
     assert np.array_equal(g.matrix, np.ones((3, 3)))
 
 
@@ -88,7 +99,7 @@ def test_unitarity_haar_any_shift(rng):
 
 
 def test_unitarity_point_mass_defect_value():
-    pm = FSMeasure.point_mass_identity(M, F3)
+    pm = point_mass_identity(M, F3)
     rep = unitarity_check(pm, basis(0, 1), 1)
     assert not rep.ok
     # oracle: max defect entry is |e^i - 1| = 2 sin(1/2)
@@ -122,7 +133,8 @@ def test_defect_matrix_magnitude_matches_scalar_defect(rng):
     b = basis(0, 1, 2)
     t = 0.83
     rep = unitarity_check(mu, b, t)
-    dm = unitarity_defect_matrix(mu, b, t)
+    g, d = gram_matrix(mu, b).matrix, translation_matrix(t, b)
+    dm = d.conj().T @ g @ d - g
     assert np.max(np.abs(dm)) == pytest.approx(rep.defect, abs=1e-12)
 
 
@@ -132,38 +144,34 @@ def test_forced_haar_plus_unitarity_gives_identity_gram(rng):
         mu = random_psd_measure(M, F3, rng).project_to_invariant([1])
         assert unitarity_check(mu, basis(0, 1, 2), 1.0, tol=1e-10).ok
         g = gram_matrix(mu, basis(0, 1, 2))
-        assert g.identity_defect() <= 1e-10
+        assert np.max(np.abs(g.matrix - np.eye(3))) <= 1e-10
 
 
 def test_l2_inner_haar_reduces_to_coefficient_formula(rng):
     haar = FSMeasure.haar(M, F3)
     f = random_exact_ap(M, rng, radius=1)
     g = random_exact_ap(M, rng, radius=1)
-    assert complex(l2_inner(haar, f, g)) == complex(f.inner(g))
+    assert l2_inner(haar, f, g) == pytest.approx(complex(f.inner(g)), abs=1e-12)
 
 
 def test_l2_inner_of_character_with_itself_is_one(rng):
-    from bohrlab import APFunction
-
     mu = random_psd_measure(M, F3, rng)
     f = APFunction.character(M, 1)
-    assert abs(complex(l2_inner(mu, f, f)) - 1) < 1e-14
+    assert abs(l2_inner(mu, f, f) - 1) < 1e-14
 
 
 def test_l2_inner_point_mass_cross_term():
-    from bohrlab import APFunction
-
-    pm = FSMeasure.point_mass_identity(M, F3)
+    pm = point_mass_identity(M, F3)
     f = APFunction.character(M, 1)
     g = APFunction.character(M, 2)
-    assert complex(l2_inner(pm, f, g)) == 1
+    assert l2_inner(pm, f, g) == 1
 
 
 def test_l2_inner_positive_on_random_functions(rng):
     for _ in range(20):
         mu = random_psd_measure(M, F3, rng)
         f = random_exact_ap(M, rng, radius=1)
-        val = complex(l2_inner(mu, f, f))
+        val = l2_inner(mu, f, f)
         assert abs(val.imag) < 1e-12
         assert val.real >= -1e-10
 

@@ -22,11 +22,10 @@ from bohrlab import (
     lower_expression,
     parse_expression,
     parse_scalar_literal,
-    print_expression,
     uniqueness_verdict,
 )
 import bohrlab
-from bohrlab import bohr
+from bohrlab import bohr, measures
 from bohrlab.scalars import SymbolicReal
 
 M = FrequencyModule.integers()
@@ -128,65 +127,6 @@ def test_scalar_literals():
     assert parse_scalar_literal("2*pi") == PiTimes(Fraction(2))
     s = parse_scalar_literal("sqrt2")
     assert abs(float(s) - math.sqrt(2)) < 1e-12
-
-
-# ------------------------------------------------------------------
-# round trip
-# ------------------------------------------------------------------
-
-
-def _random_source(rng, depth=0):
-    choice = rng.integers(0, 8 if depth < 2 else 6)
-    if choice == 0:
-        return str(rng.integers(-9, 10))
-    if choice == 1:
-        return f"{rng.integers(-9, 10)}/{rng.integers(1, 10)}"
-    if choice == 2:
-        return "i"
-    if choice == 3:
-        q = f"{rng.integers(-5, 6)}"
-        sym = rng.choice(["", "*pi", "*sqrt2"])
-        return f"chi({q}{sym})"
-    if choice == 4:
-        a = int(rng.integers(-6, 3))
-        b = a + int(rng.integers(1, 4))
-        c = b + int(rng.integers(1, 4))
-        return f"hat({a},{b},{c})"
-    if choice == 5:
-        return f"0.{rng.integers(1, 100):02d}"
-    if choice == 6:
-        n = int(rng.integers(2, 4))
-        return " + ".join(_random_source(rng, depth + 1) for _ in range(n))
-    parts = [_random_source(rng, depth + 1) for _ in range(int(rng.integers(2, 4)))]
-    return "(" + ") * (".join(parts) + ")"
-
-
-def test_roundtrip_200_case_corpus(rng):
-    good = 0
-    for _ in range(200):
-        src = _random_source(rng)
-        try:
-            ast = parse_expression(src)
-        except InputError:
-            continue
-        printed = print_expression(ast)
-        assert parse_expression(printed) == ast, (src, printed)
-        good += 1
-    assert good >= 150  # the generator occasionally emits rejected forms
-
-
-def test_roundtrip_handles_signs_and_nesting():
-    for src in (
-        "-3",
-        "-chi(1)",
-        "1 - 3",
-        "2*(chi(1) + chi(2))",
-        "(1 + i)*(1 - i)",
-        "hat(-2,-1,0) + chi(-1/2)",
-        "-1/2*chi(3*pi)",
-    ):
-        ast = parse_expression(src)
-        assert parse_expression(print_expression(ast)) == ast
 
 
 # ------------------------------------------------------------------
@@ -369,6 +309,36 @@ def test_cli_check_bare_bohr_measure(tmp_path):
     report = json.loads(proc.stdout)
     assert report["invariant"] is False
     assert report["worst_frequency"] in ([1], [-1])
+
+
+def test_cli_exact_measure_file_gets_the_exact_psd_check(tmp_path, capsys, monkeypatch):
+    exact_psd, calls = measures._exact_psd, []
+    monkeypatch.setattr(measures, "_exact_psd", lambda m: calls.append(len(m)) or exact_psd(m))
+
+    def check(moments):
+        entries = [{"coords": [k], "re": re, "im": im} for k, (re, im) in moments.items()]
+        measure = {
+            "module": {"generators": [{"symbol": None, "decimal": "1", "rational_scale": [1, 1]}]},
+            "entries": entries,
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(measure))
+        code = cli.main(["check-measure", str(path), "--shifts", "2*pi"])
+        return code, _strict_json(capsys.readouterr().out)
+
+    # |mu_hat(1)| > mu_hat(0): the Gram block's smallest eigenvalue is -1e-11,
+    # inside PSD_TOL, and the exact check refuses it
+    over = "100000000001/100000000000"
+    code, report = check({-1: (over, "0"), 0: ("1", "0"), 1: (over, "0")})
+    assert code == 2 and "not positive definite" in report["error"]
+    # a Dirac point at a quarter turn: rank-one blocks, certified exactly
+    quarter = {0: ("1", "0"), 1: ("0", "1"), -1: ("0", "-1"), 2: ("-1", "0"), -2: ("-1", "0")}
+    calls.clear()
+    assert check(quarter)[0] == 0 and calls
+    # Haar blocks are the identity: the eigenvalue filter decides them
+    calls.clear()
+    assert check({k: ("1" if k == 0 else "0", "0") for k in range(-3, 4)})[0] == 0
+    assert calls == []
 
 
 def test_cli_kronecker_success_and_verification():
@@ -644,7 +614,7 @@ def test_cli_deep_parentheses_are_an_input_error(capsys):
     assert code == 2 and "MAX_NESTING" in report["error"] and elapsed < 0.5
     deepest = "(" * MAX_NESTING + "chi(1)" + ")" * MAX_NESTING
     assert cli.main(["mean", deepest]) == 0
-    assert print_expression(parse_expression(deepest)) == "chi(1)"
+    assert parse_expression(deepest) == parse_expression("chi(1)")
     capsys.readouterr()
     with pytest.raises(InputError, match="MAX_NESTING"):
         parse_expression("(" + deepest + ")")

@@ -33,7 +33,6 @@ from bohrlab.scalars import (
     PiTimes,
     RealLike,
     SymbolicReal,
-    as_float,
     as_fraction,
     c_add,
     c_conj,
@@ -610,6 +609,29 @@ def reference_mix(parts):
     return ReferenceMeasure(module, support, _hermitian_entries(support, out))
 
 
+def identity_point(module):
+    """The identity of the character group, with exact zero turns."""
+    return BohrPoint(module, (Fraction(0),) * module.dim)
+
+
+def turn_distance(a, b):
+    """Max circular distance between the turn vectors of two points (in turns)."""
+    gaps = [abs(float(x) - float(y)) % 1.0 for x, y in zip(a.turns, b.turns)]
+    return max(min(d, 1.0 - d) for d in gaps)
+
+
+def point_mass_identity(module, support):
+    """The Dirac measure at the identity: every moment is 1."""
+    return FSMeasure.from_point(module, support, identity_point(module))
+
+
+def pushforward(mu, t):
+    """The image of mu under translation by iota(t), mu_hat(lambda) *=
+    e^{i*lambda*t}, through the checked constructor."""
+    phases = turn_table(mu.module, t).phases(mu.support.rows)
+    return FSMeasure(mu.module, {f: c_mul(p, mu.entries[f]) for f, p in zip(mu.support, phases)})
+
+
 def reference_pushforward(mu, t):
     half = [f for f, _ in _positive_half(mu.support)]
     phases = turn_table(mu.module, t).phases([f.coords for f in half])
@@ -763,7 +785,7 @@ class TorusDensity:
             raise InputError(f"box must have {self.module.dim} intervals")
         ivs = []
         for lo, hi in box:
-            lo, hi = as_float(lo), as_float(hi)
+            lo, hi = float(lo), float(hi)
             if hi < lo:
                 raise InputError("box interval has negative width")
             if hi - lo > 2.0 * math.pi + 1e-12:
@@ -792,10 +814,10 @@ class TorusDensity:
     def set_invariance_check(self, box, t: RealLike) -> tuple[float, float]:
         """(measure of box, measure of the box translated back by t): equal
         for translation-invariant densities."""
-        tf = as_float(t)
+        tf = float(t)
         gs = self.module.float_values
         moved = [
-            (as_float(lo) - tf * float(gs[k]), as_float(hi) - tf * float(gs[k]))
+            (float(lo) - tf * float(gs[k]), float(hi) - tf * float(gs[k]))
             for k, (lo, hi) in enumerate(box)
         ]
         return self.box_measure(box), self.box_measure(moved)
